@@ -6,18 +6,17 @@
 #include <thread>
 
 #include "base/strings.h"
+#include "server/verbs.h"
 #include "server/wire.h"
 
 namespace oodb::cluster {
 
 namespace {
 
-// First whitespace-delimited token of a request line (the verb) and,
-// when present, the second (the session name for session verbs).
-void VerbAndSession(const std::string& line, std::string_view* verb,
-                    std::string_view* session) {
-  *verb = {};
-  *session = {};
+// The verb's row of a request line (null for an unknown verb) and, for
+// a verb whose first argument names a session, that session ("" else).
+const server::VerbSpec* VerbAndSession(const std::string& line,
+                                       std::string_view* session) {
   size_t i = 0;
   auto skip = [&] { while (i < line.size() && line[i] == ' ') ++i; };
   auto token = [&] {
@@ -26,17 +25,19 @@ void VerbAndSession(const std::string& line, std::string_view* verb,
     return std::string_view(line).substr(start, i - start);
   };
   skip();
-  *verb = token();
+  const server::VerbSpec* spec = server::FindVerb(token());
   skip();
-  *session = token();
+  *session = spec != nullptr && spec->Has(server::kSession)
+                 ? token()
+                 : std::string_view();
+  return spec;
 }
 
 }  // namespace
 
 bool IsIdempotentVerb(std::string_view verb) {
-  return verb == "CHECK" || verb == "BCHECK" || verb == "CLASSIFY" ||
-         verb == "STATS" || verb == "PING" || verb == "METRICS" ||
-         verb == "TRACE";
+  const server::VerbSpec* spec = server::FindVerb(verb);
+  return spec != nullptr && spec->Has(server::kIdempotent);
 }
 
 uint64_t BackoffPolicy::DelayMs(size_t retry_index, Rng& rng) const {
@@ -83,10 +84,9 @@ Result<std::string> ClusterClient::Call(const std::string& line,
     return FailedPreconditionError("cluster client has no nodes");
   }
   ++stats_.requests;
-  std::string_view verb;
   std::string_view session;
-  VerbAndSession(line, &verb, &session);
-  const bool idempotent = IsIdempotentVerb(verb);
+  const server::VerbSpec* spec = VerbAndSession(line, &session);
+  const bool idempotent = spec != nullptr && spec->Has(server::kIdempotent);
 
   // Candidate nodes, in preference order: the owner first, then — for
   // idempotent reads only — its replicas, which hold the same session

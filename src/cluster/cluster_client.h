@@ -28,7 +28,8 @@
 namespace oodb::cluster {
 
 // Read verbs that are safe to resend after an ambiguous transport
-// failure (and to serve from a replica): they mutate nothing.
+// failure (and to serve from a replica): they mutate nothing. The
+// server's verb table (server/verbs.h) flags them.
 bool IsIdempotentVerb(std::string_view verb);
 
 // Capped exponential backoff with jitter. Delay for retry i is uniform
@@ -62,8 +63,9 @@ class ClusterClient {
   explicit ClusterClient(ClusterConfig config, BackoffPolicy backoff = {},
                          uint64_t seed = 0x0dd5eedULL);
 
-  // Routes one request line to the owner of its session, retrying and
-  // failing over per the class comment. Replies map exactly like
+  // Routes one request line to the owner of its session (node 0 for a
+  // verb that names no session), retrying and failing over per the class
+  // comment. Replies map exactly like
   // server::Client::Roundtrip.
   Result<std::string> Call(const std::string& line,
                            const std::string* payload = nullptr);

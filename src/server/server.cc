@@ -19,7 +19,6 @@
 
 #include "base/strings.h"
 #include "base/sync.h"
-#include "cluster/cluster_client.h"
 #include "server/client.h"
 
 namespace oodb::server {
@@ -52,6 +51,10 @@ Reply StatusReply(const Status& status) {
   return ErrReply(StatusCodeName(status.code()), status.message());
 }
 
+Reply UsageReply(const VerbSpec& spec) {
+  return ErrReply(kErrProto, spec.usage);
+}
+
 // Parses a non-negative integer token; returns false on garbage.
 bool ParseSize(const std::string& token, size_t* out) {
   if (token.empty()) return false;
@@ -82,54 +85,35 @@ bool ParseEnvelopeHeader(const std::string& token, size_t* origin,
 
 }  // namespace
 
-const char* VerbName(Verb verb) {
-  switch (verb) {
-    case Verb::kPing:
-      return "PING";
-    case Verb::kLoad:
-      return "LOAD";
-    case Verb::kState:
-      return "STATE";
-    case Verb::kView:
-      return "VIEW";
-    case Verb::kUndefine:
-      return "UNDEFINE";
-    case Verb::kCheck:
-      return "CHECK";
-    case Verb::kBcheck:
-      return "BCHECK";
-    case Verb::kClassify:
-      return "CLASSIFY";
-    case Verb::kOptimize:
-      return "OPTIMIZE";
-    case Verb::kStats:
-      return "STATS";
-    case Verb::kSleep:
-      return "SLEEP";
-    case Verb::kShutdown:
-      return "SHUTDOWN";
-    case Verb::kMetrics:
-      return "METRICS";
-    case Verb::kTrace:
-      return "TRACE";
-    case Verb::kHealth:
-      return "HEALTH";
-    case Verb::kRepl:
-      return "REPL";
-    case Verb::kForward:
-      return "FORWARD";
-    case Verb::kOther:
-    case Verb::kCount:
-      break;
+Server::Request Server::Request::Parse(std::vector<std::string> tokens) {
+  Request req;
+  req.tokens = std::move(tokens);
+  if (req.tokens.empty()) return req;
+  req.spec = FindVerb(req.tokens[0]);
+  if (req.spec == nullptr || !req.spec->Has(kEnvelope)) return req;
+  if (req.tokens.size() > 1 &&
+      ParseEnvelopeHeader(req.tokens[1], &req.origin, &req.origin_trace)) {
+    req.args_at = 2;
   }
-  return "?";
+  // REPL carries its request after the sequence number.
+  const size_t at = req.args_at + (req.spec->verb == Verb::kRepl ? 1 : 0);
+  if (at < req.tokens.size()) req.carried_at = at;
+  return req;
 }
 
-Verb VerbOf(const std::string& token) {
-  for (size_t i = 0; i < static_cast<size_t>(Verb::kOther); ++i) {
-    if (token == VerbName(static_cast<Verb>(i))) return static_cast<Verb>(i);
-  }
-  return Verb::kOther;
+Server::Command Server::Request::command() const {
+  return {spec, tokens[0], Args(tokens).subspan(args_at)};
+}
+
+Server::Command Server::Request::carried() const {
+  if (carried_at == 0) return {};
+  return {FindVerb(tokens[carried_at]), tokens[carried_at],
+          Args(tokens).subspan(carried_at + 1)};
+}
+
+std::string Server::Command::line() const {
+  return args.empty() ? std::string(verb)
+                      : StrCat(verb, " ", StrJoin(args, " "));
 }
 
 // Per-connection state machine, owned by the event-loop thread. A
@@ -184,18 +168,13 @@ Server::Server(ServerOptions options)
 
 void Server::RegisterMetrics() {
   // Latency histograms exist only for verbs that run through the pool;
-  // inline control verbs are not timed.
-  constexpr Verb kTimedVerbs[] = {Verb::kLoad,     Verb::kState,
-                                  Verb::kView,     Verb::kUndefine,
-                                  Verb::kCheck,    Verb::kBcheck,
-                                  Verb::kClassify, Verb::kOptimize,
-                                  Verb::kStats,    Verb::kSleep,
-                                  Verb::kRepl,     Verb::kForward};
-  for (Verb verb : kTimedVerbs) {
-    latency_[static_cast<size_t>(verb)] = registry_.GetHistogram(
+  // inline verbs are not timed.
+  for (const VerbSpec& spec : kVerbs) {
+    if (spec.Has(kInline)) continue;
+    latency_[static_cast<size_t>(spec.verb)] = registry_.GetHistogram(
         "oodb_server_request_seconds",
         "End-to-end request latency (admission to reply written)",
-        {{"verb", VerbName(verb)}}, 1e-9);
+        {{"verb", std::string(spec.name)}}, 1e-9);
   }
   loop_batch_hist_ = registry_.GetHistogram(
       "oodb_loop_ready_batch", "Ready events per epoll_wait return", {}, 1);
@@ -595,59 +574,35 @@ bool Server::ParseTextFrame(Connection& conn) {
     conn.discard_input = true;
     return false;
   }
-  std::vector<std::string> tokens = SplitTokens(buf.substr(0, nl));
-  if (tokens.empty()) {  // blank line: ignore
+  Request req = Request::Parse(SplitTokens(buf.substr(0, nl)));
+  if (req.tokens.empty()) {  // blank line: ignore
     conn.in_pos += nl + 1;
     return true;
   }
-  const std::string& verb = tokens[0];
-
-  // Payload-carrying verbs: the line ends with the byte count; the
-  // payload plus one terminating '\n' follows. The cluster wrappers
-  // (`REPL <seq> LOAD …`, `FORWARD LOAD …`) frame their inner
-  // LOAD/STATE payload exactly like the bare line.
-  std::string payload;
+  // Payload-carrying verbs, bare or inside an envelope: the line ends
+  // with the byte count; the payload plus one terminating '\n' follows.
+  // A line with the wrong argument count carries no payload; dispatch
+  // answers it with the verb's usage.
   size_t frame_len = nl + 1;
-  size_t inner = 0;
-  if (verb == "REPL") {
-    inner = 2;
-  } else if (verb == "FORWARD") {
-    inner = 1;
-  }
-  // An `@origin:trace` header after the envelope verb shifts the inner
-  // command one token to the right.
-  if (inner > 0 && tokens.size() > 1 && tokens[1].front() == '@') ++inner;
-  const bool bare_payload_verb = verb == "LOAD" || verb == "STATE";
-  const bool wrapped_payload_verb =
-      inner > 0 && tokens.size() == inner + 3 &&
-      (tokens[inner] == "LOAD" || tokens[inner] == "STATE");
-  if (bare_payload_verb || wrapped_payload_verb) {
+  const Command target = req.target();
+  if (target.spec != nullptr && target.spec->Has(kPayload) &&
+      target.spec->ArityOk(target.args.size())) {
     size_t nbytes = 0;
-    if ((bare_payload_verb && tokens.size() != 3) ||
-        !ParseSize(tokens.back(), &nbytes)) {
-      conn.in_pos += frame_len;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(VerbOf(verb))].fetch_add(
-          1, std::memory_order_relaxed);
-      QueueReply(conn, 0,
-                 ErrReply(kErrProto,
-                          StrCat("usage: ", verb, " <session> <nbytes>")),
-                 VerbOf(verb));
-      return true;
-    }
-    if (nbytes > options_.max_payload) {
+    Reply reject;
+    if (!ParseSize(target.args.back(), &nbytes)) {
+      reject = UsageReply(*target.spec);
+    } else if (nbytes > options_.max_payload) {
       // The payload cannot be admitted: reply, then close (the unread
       // bytes make the stream unrecoverable).
-      conn.in_pos += frame_len;
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(VerbOf(verb))].fetch_add(
-          1, std::memory_order_relaxed);
-      QueueReply(conn, 0,
-                 ErrReply(kErrProto, StrCat("payload exceeds ",
-                                            options_.max_payload, " bytes")),
-                 VerbOf(verb));
+      reject = ErrReply(kErrProto, StrCat("payload exceeds ",
+                                          options_.max_payload, " bytes"));
       conn.closing = true;
       conn.discard_input = true;
+    }
+    if (reject.kind == Reply::Kind::kErr) {
+      conn.in_pos += frame_len;
+      CountRequest(req.spec->verb);
+      QueueReply(conn, 0, reject, req.spec->verb);
       return true;
     }
     if (buf.size() < nl + 1 + nbytes + 1) return false;  // need more bytes
@@ -656,11 +611,11 @@ bool Server::ParseTextFrame(Connection& conn) {
       conn.discard_input = true;
       return false;
     }
-    payload.assign(buf.substr(nl + 1, nbytes));
+    req.payload.assign(buf.substr(nl + 1, nbytes));
     frame_len += nbytes + 1;
   }
   conn.in_pos += frame_len;
-  HandleFrame(conn, 0, std::move(tokens), std::move(payload));
+  HandleFrame(conn, 0, std::move(req));
   return true;
 }
 
@@ -676,9 +631,7 @@ bool Server::ParseBinaryFrame(Connection& conn) {
     case ParseStatus::kBad:
       // Addressed to the frame's id when the header was readable; the
       // framing is gone, so close after the reply flushes.
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      verb_requests_[static_cast<size_t>(Verb::kOther)].fetch_add(
-          1, std::memory_order_relaxed);
+      CountRequest(Verb::kOther);
       QueueReply(conn, req.id, ErrReply(kErrProto, error), Verb::kOther);
       conn.closing = true;
       conn.discard_input = true;
@@ -687,64 +640,30 @@ bool Server::ParseBinaryFrame(Connection& conn) {
       break;
   }
   conn.in_pos += consumed;
-  HandleFrame(conn, req.id, std::move(req.tokens), std::move(req.payload));
+  Request parsed = Request::Parse(std::move(req.tokens));
+  parsed.payload = std::move(req.payload);
+  HandleFrame(conn, req.id, std::move(parsed));
   return true;
 }
 
 void Server::HandleFrame(Connection& conn, uint64_t request_id,
-                         std::vector<std::string> tokens,
-                         std::string payload) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  if (tokens.empty()) {  // binary kLine frame with an empty command line
-    verb_requests_[static_cast<size_t>(Verb::kOther)].fetch_add(
-        1, std::memory_order_relaxed);
-    QueueReply(conn, request_id, ErrReply(kErrProto, "empty command"),
-               Verb::kOther);
-    return;
+                         Request req) {
+  const Verb vkind = req.spec != nullptr ? req.spec->verb : Verb::kOther;
+  CountRequest(vkind);
+  if (req.tokens.empty()) {  // binary kLine frame with an empty command line
+    return QueueReply(conn, request_id, ErrReply(kErrProto, "empty command"),
+                      vkind);
   }
-  const std::string& verb = tokens[0];
-  const Verb vkind = VerbOf(verb);
-  verb_requests_[static_cast<size_t>(vkind)].fetch_add(
-      1, std::memory_order_relaxed);
 
-  // Control verbs answered inline on the loop — they must work even when
-  // the admission queue is saturated. METRICS/TRACE stay observable
-  // under overload and while draining by the same rule.
-  if (verb == "PING") {
-    return QueueReply(conn, request_id, OkReply("pong"), vkind);
-  }
-  if (verb == "HEALTH") {
-    // Inline like METRICS: load balancers and smoke tests must get an
-    // answer under overload and while draining.
-    if (tokens.size() != 1) {
-      return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: HEALTH"), vkind);
+  // Inline verbs are answered on the loop — they must work even when the
+  // admission queue is saturated, and while draining.
+  if (req.spec != nullptr && req.spec->Has(kInline)) {
+    QueueReply(conn, request_id, Execute(req.command(), req.payload, nullptr),
+               vkind);
+    if (vkind == Verb::kShutdown) {
+      conn.closing = true;
+      conn.discard_input = true;
     }
-    return QueueReply(conn, request_id, OkReply(HealthText()), vkind);
-  }
-  if (verb == "METRICS") {
-    if (tokens.size() != 1) {
-      return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: METRICS"), vkind);
-    }
-    return QueueReply(conn, request_id, OkReply(registry_.RenderPrometheus()),
-                      vkind);
-  }
-  if (verb == "TRACE") {
-    size_t n = 10;
-    if (tokens.size() > 2 ||
-        (tokens.size() == 2 && !ParseSize(tokens[1], &n))) {
-      return QueueReply(conn, request_id,
-                        ErrReply(kErrProto, "usage: TRACE [n]"), vkind);
-    }
-    return QueueReply(conn, request_id, OkReply(slow_log_.RenderJsonLines(n)),
-                      vkind);
-  }
-  if (verb == "SHUTDOWN") {
-    QueueReply(conn, request_id, OkReply("draining"), vkind);
-    RequestShutdown();
-    conn.closing = true;
-    conn.discard_input = true;
     return;
   }
   if (stopping_.load(std::memory_order_relaxed)) {
@@ -768,12 +687,11 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   if (obs::Enabled() && slow_log_.enabled()) {
     trace = std::make_shared<obs::TraceContext>();
     trace->id = trace_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-    trace->verb = verb;
-    // tokens[1] is the session name except for SLEEP (a duration) and
-    // the cluster envelopes (a sequence number / the inner verb).
-    if (tokens.size() > 1 && vkind != Verb::kSleep && vkind != Verb::kRepl &&
-        vkind != Verb::kForward) {
-      trace->session = tokens[1];
+    trace->verb = req.tokens[0];
+    const Command target = req.target();
+    if (target.spec != nullptr && target.spec->Has(kSession) &&
+        !target.args.empty()) {
+      trace->session = target.args[0];
     }
   }
 
@@ -784,8 +702,7 @@ void Server::HandleFrame(Connection& conn, uint64_t request_id,
   work.vkind = vkind;
   work.trace = std::move(trace);
   work.enqueued = std::chrono::steady_clock::now();
-  work.tokens = std::move(tokens);
-  work.payload = std::move(payload);
+  work.request = std::move(req);
   pending_work_.push_back(std::move(work));
 }
 
@@ -820,8 +737,13 @@ void Server::SubmitPooled(Connection& conn) {
   }
 }
 
-void Server::QueueReply(Connection& conn, uint64_t request_id,
-                        const Reply& reply, Verb vkind) {
+void Server::CountRequest(Verb vkind) {
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  verb_requests_[static_cast<size_t>(vkind)].fetch_add(
+      1, std::memory_order_relaxed);
+}
+
+void Server::CountReply(const Reply& reply, Verb vkind) {
   switch (reply.kind) {
     case Reply::Kind::kOk:
       ok_.fetch_add(1, std::memory_order_relaxed);
@@ -835,6 +757,11 @@ void Server::QueueReply(Connection& conn, uint64_t request_id,
       busy_.fetch_add(1, std::memory_order_relaxed);
       break;
   }
+}
+
+void Server::QueueReply(Connection& conn, uint64_t request_id,
+                        const Reply& reply, Verb vkind) {
+  CountReply(reply, vkind);
   AppendOutput(conn, conn.binary ? EncodeBinaryReply(request_id, reply)
                                  : EncodeReply(reply));
 }
@@ -866,19 +793,33 @@ void Server::ConsumeOutput(Connection& conn, size_t n) {
   }
 }
 
-// Gathers up to kMaxIov chunks of pending output into `iov`. Returns
-// the slot count.
-int Server::GatherOutput(Connection& conn, iovec* iov) {
-  int n = 0;
-  size_t head = conn.out_head;
-  for (const std::string& chunk : conn.outq) {
-    if (n == kMaxIov) break;
-    iov[n].iov_base = const_cast<char*>(chunk.data()) + head;
-    iov[n].iov_len = chunk.size() - head;
-    head = 0;
-    ++n;
+bool Server::WriteOutput(Connection& conn) {
+  while (conn.out_bytes > 0) {
+    // One gather write per syscall: a pipelined burst of replies leaves
+    // in a handful of sendmsg calls, not one send per frame. sendmsg
+    // rather than writev for MSG_NOSIGNAL (no SIGPIPE on a dead peer).
+    iovec iov[kMaxIov];
+    size_t n = 0;
+    size_t head = conn.out_head;
+    for (const std::string& chunk : conn.outq) {
+      if (n == kMaxIov) break;
+      iov[n].iov_base = const_cast<char*>(chunk.data()) + head;
+      iov[n].iov_len = chunk.size() - head;
+      head = 0;
+      ++n;
+    }
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    ssize_t w = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
+    if (w > 0) {
+      ConsumeOutput(conn, static_cast<size_t>(w));
+      continue;
+    }
+    if (w < 0 && errno == EINTR) continue;
+    return w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
-  return n;
+  return true;
 }
 
 Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
@@ -893,39 +834,24 @@ Server::Completion Server::FinalizeOnWorker(uint64_t conn_id, bool binary,
                      StrCat("queued ", waited, " ms, deadline ",
                             options_.deadline_ms, " ms"));
   } else {
-    reply = Dispatch(work.tokens, work.payload, work.trace.get());
+    reply = Dispatch(work.request, work.trace.get());
   }
   admitted_.fetch_sub(1, std::memory_order_acq_rel);
 
-  const uint64_t request_id = work.request_id;
-  const Verb vkind = work.vkind;
-  const std::shared_ptr<obs::TraceContext>& trace = work.trace;
-  const auto enqueued = work.enqueued;
-  switch (reply.kind) {
-    case Reply::Kind::kOk:
-      ok_.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case Reply::Kind::kErr:
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      verb_errors_[static_cast<size_t>(vkind)].fetch_add(
-          1, std::memory_order_relaxed);
-      break;
-    case Reply::Kind::kBusy:
-      busy_.fetch_add(1, std::memory_order_relaxed);
-      break;
-  }
+  CountReply(reply, work.vkind);
+  obs::TraceContext* trace = work.trace.get();
   std::string bytes;
   {
-    obs::ScopedSpan span(trace.get(), obs::Phase::kReply);
-    bytes = binary ? EncodeBinaryReply(request_id, reply)
+    obs::ScopedSpan span(trace, obs::Phase::kReply);
+    bytes = binary ? EncodeBinaryReply(work.request_id, reply)
                    : EncodeReply(reply);
   }
   if (obs::Enabled()) {
-    const auto elapsed = std::chrono::steady_clock::now() - enqueued;
+    const auto elapsed = std::chrono::steady_clock::now() - work.enqueued;
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count();
     const uint64_t total_ns = ns > 0 ? static_cast<uint64_t>(ns) : 1;
-    if (obs::Histogram* hist = latency_[static_cast<size_t>(vkind)]) {
+    if (obs::Histogram* hist = latency_[static_cast<size_t>(work.vkind)]) {
       hist->RecordAlways(total_ns);
     }
     if (trace != nullptr) {
@@ -978,21 +904,7 @@ void Server::DrainCompletions() {
 }
 
 void Server::FlushOutput(Connection& conn) {
-  while (conn.out_bytes > 0) {
-    // One gather write per syscall: a pipelined burst of replies leaves
-    // in a handful of sendmsg calls, not one send per frame. sendmsg
-    // rather than writev for MSG_NOSIGNAL (no SIGPIPE on a dead peer).
-    iovec iov[kMaxIov];
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(GatherOutput(conn, iov));
-    ssize_t w = ::sendmsg(conn.fd, &msg, MSG_NOSIGNAL);
-    if (w > 0) {
-      ConsumeOutput(conn, static_cast<size_t>(w));
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  if (!WriteOutput(conn)) {
     CloseConnection(conn.id);  // peer is gone; replies are undeliverable
     return;
   }
@@ -1037,165 +949,94 @@ void Server::FinalFlush() {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(1);
   for (auto& [id, conn] : conns_) {
-    while (conn->out_bytes > 0) {
-      iovec iov[kMaxIov];
-      msghdr msg{};
-      msg.msg_iov = iov;
-      msg.msg_iovlen = static_cast<size_t>(GatherOutput(*conn, iov));
-      ssize_t w = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
-      if (w > 0) {
-        ConsumeOutput(*conn, static_cast<size_t>(w));
-        continue;
-      }
-      if (w < 0 && errno == EINTR) continue;
-      if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        if (std::chrono::steady_clock::now() >= deadline) break;
-        pollfd pfd{conn->fd, POLLOUT, 0};
-        ::poll(&pfd, 1, 50);
-        continue;
-      }
-      break;  // peer gone
+    while (WriteOutput(*conn) && conn->out_bytes > 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      pollfd pfd{conn->fd, POLLOUT, 0};
+      ::poll(&pfd, 1, 50);
     }
   }
 }
 
-namespace {
-
-// Verbs that mutate session state — the ones the owner replicates.
-bool IsMutationVerb(const std::string& verb) {
-  return verb == "LOAD" || verb == "STATE" || verb == "VIEW" ||
-         verb == "UNDEFINE";
-}
-
-// Verbs addressing a named session in tokens[1] (the routable set).
-bool IsSessionVerb(const std::string& verb) {
-  return IsMutationVerb(verb) || verb == "CHECK" || verb == "BCHECK" ||
-         verb == "CLASSIFY" || verb == "OPTIMIZE" || verb == "STATS";
-}
-
-}  // namespace
-
-Reply Server::Dispatch(const std::vector<std::string>& tokens,
-                       const std::string& payload, obs::TraceContext* trace,
-                       Route route) {
-  const std::string& verb = tokens[0];
-
-  // Cluster envelopes first: FORWARD unwraps to a re-dispatch with the
-  // ownership check suppressed, REPL to a serialized replica apply.
-  if (verb == "FORWARD") {
-    if (ring_ == nullptr) {
-      return ErrReply(kErrProto, "FORWARD outside cluster mode");
-    }
-    if (route != Route::kClient) {
-      return ErrReply(kErrProto, "nested FORWARD");
-    }
-    // Optional `@origin:trace` header: stamp where the request came
-    // from onto this node's trace, then strip it.
-    size_t idx = 1;
-    size_t origin = 0;
-    uint64_t origin_trace = 0;
-    if (tokens.size() >= 2 &&
-        ParseEnvelopeHeader(tokens[1], &origin, &origin_trace)) {
-      idx = 2;
-      if (trace != nullptr) {
-        trace->route = "forwarded";
-        trace->origin_trace_id = origin_trace;
-        if (origin < peer_names_.size()) {
-          trace->peer = peer_names_[origin];
-        }
-      }
-    } else if (trace != nullptr) {
-      trace->route = "forwarded";
-    }
-    if (tokens.size() < idx + 1) {
-      return ErrReply(kErrProto, "usage: FORWARD [@o:t] <verb> ...");
-    }
-    const std::vector<std::string> inner(tokens.begin() + idx, tokens.end());
-    if (trace != nullptr && inner.size() >= 2 && IsSessionVerb(inner[0])) {
-      trace->session = inner[1];
-    }
-    return Dispatch(inner, payload, trace, Route::kForwarded);
+Reply Server::Dispatch(const Request& req, obs::TraceContext* trace) {
+  const Command cmd = req.command();
+  if (cmd.spec == nullptr || !cmd.spec->Has(kEnvelope)) {
+    return Serve(cmd, req.payload, trace, /*forwarded=*/false);
   }
-  if (verb == "REPL") return DispatchRepl(tokens, payload, trace);
+  // Cluster envelopes: FORWARD unwraps to a serve with the ownership
+  // check suppressed, REPL to a serialized replica apply.
+  const bool repl = cmd.spec->verb == Verb::kRepl;
+  if (ring_ == nullptr) {
+    return ErrReply(kErrProto, StrCat(cmd.verb, " outside cluster mode"));
+  }
+  if (trace != nullptr) {
+    // Stamp where the request came from onto this node's trace.
+    trace->route = repl ? "replica" : "forwarded";
+    if (req.args_at > 1) {  // the envelope had a header
+      trace->origin_trace_id = req.origin_trace;
+      if (req.origin < peer_names_.size()) {
+        trace->peer = peer_names_[req.origin];
+      }
+    }
+  }
+  if (!cmd.spec->ArityOk(cmd.args.size())) return UsageReply(*cmd.spec);
+  if (repl) return ApplyRepl(req, trace);
+  const Command inner = req.carried();
+  if (inner.spec != nullptr &&
+      (inner.spec->Has(kInline) || inner.spec->Has(kEnvelope))) {
+    return ErrReply(kErrProto,
+                    StrCat("FORWARD cannot carry '", inner.verb, "'"));
+  }
+  return Serve(inner, req.payload, trace, /*forwarded=*/true);
+}
 
+Reply Server::Serve(const Command& cmd, const std::string& payload,
+                    obs::TraceContext* trace, bool forwarded) {
+  const bool session_verb = cmd.spec != nullptr &&
+                            cmd.spec->Has(kSession) && !cmd.args.empty();
   // Ownership: a session verb arriving from an ordinary client on a
   // node that does not own the session is served locally only when this
   // node replicates it (reads), otherwise proxied to the owner.
-  if (ring_ != nullptr && route == Route::kClient && tokens.size() >= 2 &&
-      IsSessionVerb(verb)) {
-    const std::string& session = tokens[1];
+  if (ring_ != nullptr && !forwarded && session_verb) {
+    const std::string& session = cmd.args[0];
     const size_t owner = ring_->OwnerOf(session);
     if (owner != options_.cluster.self) {
       const bool replica_read =
-          !IsMutationVerb(verb) &&
+          !cmd.spec->Has(kMutation) &&
           ring_->IsReplicaOf(session, options_.cluster.self,
                              options_.cluster.EffectiveReplicas());
-      if (replica_read) {
-        replica_reads_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        return ForwardToOwner(owner, tokens, payload, trace);
-      }
+      if (!replica_read) return ForwardToOwner(owner, cmd, payload, trace);
+      replica_reads_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
-  Reply reply = DispatchLocal(tokens, payload, trace);
+  Reply reply = Execute(cmd, payload, trace);
 
   // Replication hook: the owner logs every applied mutation and pushes
   // it to the session's replicas before the reply leaves this node.
-  // Replica applies never re-replicate.
-  if (ring_ != nullptr && route != Route::kReplica &&
-      reply.kind == Reply::Kind::kOk && tokens.size() >= 2 &&
-      IsMutationVerb(verb)) {
-    const std::string& session = tokens[1];
+  if (ring_ != nullptr && reply.kind == Reply::Kind::kOk && session_verb &&
+      cmd.spec->Has(kMutation)) {
+    const std::string& session = cmd.args[0];
     // The push is synchronous: its cost is this request's, so it gets
     // its own phase. The REPL header carries this trace's id so the
     // replica's entry can be joined back here.
     obs::ScopedSpan span(trace, obs::Phase::kReplicate);
-    replicator_->Record(session, StrJoin(tokens, " "), payload,
+    replicator_->Record(session, cmd.line(), payload,
                         trace != nullptr ? trace->id : 0);
     replicator_->Flush(session);
   }
   return reply;
 }
 
-Reply Server::DispatchRepl(const std::vector<std::string>& tokens,
-                           const std::string& payload,
-                           obs::TraceContext* trace) {
-  if (ring_ == nullptr) {
-    return ErrReply(kErrProto, "REPL outside cluster mode");
-  }
-  // Optional `@origin:trace` header before the sequence number.
-  size_t idx = 1;
-  {
-    size_t origin = 0;
-    uint64_t origin_trace = 0;
-    if (tokens.size() >= 2 &&
-        ParseEnvelopeHeader(tokens[1], &origin, &origin_trace)) {
-      idx = 2;
-      if (trace != nullptr) {
-        trace->route = "replica";
-        trace->origin_trace_id = origin_trace;
-        if (origin < peer_names_.size()) {
-          trace->peer = peer_names_[origin];
-        }
-      }
-    } else if (trace != nullptr) {
-      trace->route = "replica";
-    }
-  }
+Reply Server::ApplyRepl(const Request& req, obs::TraceContext* trace) {
+  const Command cmd = req.command();
+  const Command inner = req.carried();
   size_t seq = 0;
-  if (tokens.size() < idx + 3 || !ParseSize(tokens[idx], &seq) || seq == 0) {
+  if (!ParseSize(cmd.args[0], &seq) || seq == 0) return UsageReply(*cmd.spec);
+  if (inner.spec == nullptr || !inner.spec->Has(kMutation)) {
     return ErrReply(kErrProto,
-                    "usage: REPL [@o:t] <seq> <verb> <session> ...");
+                    StrCat("REPL cannot carry '", inner.verb, "'"));
   }
-  const std::vector<std::string> inner(tokens.begin() + idx + 1,
-                                       tokens.end());
-  if (!IsMutationVerb(inner[0])) {
-    return ErrReply(kErrProto,
-                    StrCat("REPL cannot carry '", inner[0], "'"));
-  }
-  const std::string& session = inner[1];
-  if (trace != nullptr) trace->session = session;
+  const std::string& session = inner.args[0];
   // Serialized per daemon: pipelined REPL frames for one session may
   // land on different workers, and they must apply in sequence order.
   base::MutexLock lock(&repl_mu_);
@@ -1207,19 +1048,19 @@ Reply Server::DispatchRepl(const std::vector<std::string>& tokens,
   }
   // In-sequence, or a LOAD — which rebuilds the session from scratch and
   // is therefore a valid resync point at any forward sequence number.
-  if (seq != applied + 1 && inner[0] != "LOAD") {
+  if (seq != applied + 1 && inner.spec->verb != Verb::kLoad) {
     repl_gaps_.fetch_add(1, std::memory_order_relaxed);
     return ErrReply("replica_gap", StrCat("have=", applied));
   }
-  Reply reply = Dispatch(inner, payload, trace, Route::kReplica);
+  // A replica apply is never routed and never re-replicated.
+  Reply reply = Execute(inner, req.payload, trace);
   if (reply.kind != Reply::Kind::kOk) return reply;
   applied = seq;
   repl_applies_.fetch_add(1, std::memory_order_relaxed);
   return OkReply(StrCat("applied=", seq));
 }
 
-Reply Server::ForwardToOwner(size_t owner,
-                             const std::vector<std::string>& tokens,
+Reply Server::ForwardToOwner(size_t owner, const Command& cmd,
                              const std::string& payload,
                              obs::TraceContext* trace) {
   forwards_.fetch_add(1, std::memory_order_relaxed);
@@ -1229,13 +1070,13 @@ Reply Server::ForwardToOwner(size_t owner,
   obs::ScopedSpan span(trace, obs::Phase::kForward);
   const std::string line =
       StrCat("FORWARD @", options_.cluster.self, ":",
-             trace != nullptr ? trace->id : 0, " ", StrJoin(tokens, " "));
+             trace != nullptr ? trace->id : 0, " ", cmd.line());
   // The owner first; for idempotent reads, the session's replicas next,
   // so every node keeps answering reads while the owner is down.
   std::vector<size_t> targets{owner};
-  if (cluster::IsIdempotentVerb(tokens[0])) {
+  if (cmd.spec->Has(kIdempotent)) {
     for (const size_t r : ring_->ReplicasOf(
-             tokens[1], options_.cluster.EffectiveReplicas())) {
+             cmd.args[0], options_.cluster.EffectiveReplicas())) {
       if (r != options_.cluster.self) targets.push_back(r);
     }
   }
@@ -1311,160 +1152,150 @@ bool Server::ForwardTo(size_t node, const std::string& line,
   return answered;
 }
 
-Reply Server::DispatchLocal(const std::vector<std::string>& tokens,
-                            const std::string& payload,
-                            obs::TraceContext* trace) {
-  const std::string& verb = tokens[0];
-  if (verb == "LOAD") return DispatchLoad(tokens, payload, trace);
-  if (verb == "STATE") return DispatchState(tokens, payload, trace);
-  if (verb == "STATS") return DispatchStats(tokens);
+Reply Server::Execute(const Command& cmd, const std::string& payload,
+                      obs::TraceContext* trace) {
+  if (cmd.spec == nullptr) {
+    return ErrReply(kErrProto, StrCat("unknown command '", cmd.verb, "'"));
+  }
+  const VerbSpec& spec = *cmd.spec;
+  const Args args = cmd.args;
+  // A verb that acts on an existing session names it first, and the
+  // session must exist before the other arguments are counted. Payload
+  // verbs count their arguments first: the byte count frames the payload.
+  std::shared_ptr<Session> session;
+  if (spec.Has(kSession) && spec.min_args > 0 && !spec.Has(kPayload)) {
+    if (args.empty()) {
+      return ErrReply(kErrProto, StrCat(spec.name, " needs a session name"));
+    }
+    session = FindSession(args[0]);
+    if (session == nullptr) {
+      return ErrReply("not_found", StrCat("no session '", args[0],
+                                          "' (LOAD one first)"));
+    }
+  }
+  if (!spec.ArityOk(args.size())) return UsageReply(spec);
 
-  if (verb == "SLEEP") {
-    // Diagnostic: occupies a worker for <ms> — how the tests and the
-    // load benchmark provoke BUSY/deadline behaviour deterministically.
-    size_t ms = 0;
-    if (tokens.size() != 2 || !ParseSize(tokens[1], &ms) || ms > 10000) {
-      return ErrReply(kErrProto, "usage: SLEEP <ms≤10000>");
+  switch (spec.verb) {
+    case Verb::kPing:
+      return OkReply("pong");
+    case Verb::kHealth:
+      return OkReply(HealthText());
+    case Verb::kMetrics:
+      return OkReply(registry_.RenderPrometheus());
+    case Verb::kTrace: {
+      size_t n = 10;
+      if (!args.empty() && !ParseSize(args[0], &n)) return UsageReply(spec);
+      return OkReply(slow_log_.RenderJsonLines(n));
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-    return OkReply(StrCat("slept=", ms));
-  }
-
-  // Everything below addresses a named session.
-  if (verb != "VIEW" && verb != "UNDEFINE" && verb != "CHECK" &&
-      verb != "BCHECK" && verb != "CLASSIFY" && verb != "OPTIMIZE") {
-    return ErrReply(kErrProto, StrCat("unknown command '", verb, "'"));
-  }
-  if (tokens.size() < 2) {
-    return ErrReply(kErrProto, StrCat(verb, " needs a session name"));
-  }
-  std::shared_ptr<Session> session = FindSession(tokens[1]);
-  if (session == nullptr) {
-    return ErrReply("not_found", StrCat("no session '", tokens[1],
-                                        "' (LOAD one first)"));
-  }
-
-  if (verb == "VIEW") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: VIEW <session> <query-class>");
+    case Verb::kShutdown:
+      RequestShutdown();
+      return OkReply("draining");
+    case Verb::kLoad: {
+      // Parse/translate outside any lock — LOAD of a big schema must not
+      // stall requests against other sessions.
+      auto loaded = Session::FromSource(payload, options_.checker, trace);
+      if (!loaded.ok()) return StatusReply(loaded.status());
+      std::string summary = (*loaded)->Summary();
+      base::MutexLock lock(&sessions_mu_);
+      if (!sessions_.contains(args[0]) &&
+          sessions_.size() >= options_.max_sessions) {
+        return ErrReply("resource_exhausted",
+                        StrCat("session limit (", options_.max_sessions,
+                               ") reached"));
+      }
+      // Replacing is atomic for new requests; in-flight requests finish
+      // against the old session via their shared_ptr.
+      sessions_[args[0]] = std::move(*loaded);
+      return OkReply(StrCat("session=", args[0], " ", summary));
     }
-    base::WriterLock lock(&session->mu());
-    // Extent materialization evaluates the view body over the database;
-    // attribute it to the engine phase as one block.
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    auto extent = session->DefineView(tokens[2]);
-    if (!extent.ok()) return StatusReply(extent.status());
-    return OkReply(StrCat("extent=", *extent));
+    case Verb::kState: {
+      session = FindSession(args[0]);
+      if (session == nullptr) {
+        return ErrReply("not_found", StrCat("no session '", args[0], "'"));
+      }
+      base::WriterLock lock(&session->mu());
+      obs::ScopedSpan span(trace, obs::Phase::kParse);
+      if (Status s = session->LoadState(payload); !s.ok()) {
+        return StatusReply(s);
+      }
+      return OkReply("state loaded (views reset, re-issue VIEW)");
+    }
+    case Verb::kStats:
+      return DispatchStats(args);
+    case Verb::kSleep: {
+      // Diagnostic: occupies a worker for <ms> — how the tests and the
+      // load benchmark provoke BUSY/deadline behaviour deterministically.
+      size_t ms = 0;
+      if (!ParseSize(args[0], &ms) || ms > 10000) return UsageReply(spec);
+      std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+      return OkReply(StrCat("slept=", ms));
+    }
+    case Verb::kView: {
+      base::WriterLock lock(&session->mu());
+      // Extent materialization evaluates the view body over the database;
+      // attribute it to the engine phase as one block.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      auto extent = session->DefineView(args[1]);
+      if (!extent.ok()) return StatusReply(extent.status());
+      return OkReply(StrCat("extent=", *extent));
+    }
+    case Verb::kUndefine: {
+      base::WriterLock lock(&session->mu());
+      // Taxonomy repair is pure graph surgery (no subsumption checks), but
+      // it is still session mutation; attribute it to the engine phase.
+      obs::ScopedSpan span(trace, obs::Phase::kEngine);
+      auto summary = session->UndefineView(args[1]);
+      if (!summary.ok()) return StatusReply(summary.status());
+      return OkReply(std::move(*summary));
+    }
+    case Verb::kCheck: {
+      base::ReaderLock lock(&session->mu());
+      auto verdict = session->Check(args[1], args[2], trace);
+      if (!verdict.ok()) return StatusReply(verdict.status());
+      return OkReply(StrCat("subsumed=", *verdict ? "true" : "false"));
+    }
+    case Verb::kBcheck: {
+      // Batched CHECK: N pairs, one verdict per pair, in order. One frame
+      // buys one dispatch, one session lock, and grouped SubsumesBatch
+      // runs instead of N full round trips.
+      const Args operands = args.subspan(1);
+      if (operands.size() % 2 != 0) return UsageReply(spec);
+      if (operands.size() / 2 > kMaxBatchPairs) {
+        return ErrReply(kErrProto,
+                        StrCat("batch exceeds ", kMaxBatchPairs, " pairs"));
+      }
+      base::ReaderLock lock(&session->mu());
+      auto verdicts = session->CheckBatch(operands, trace);
+      if (!verdicts.ok()) return StatusReply(verdicts.status());
+      std::string text = "subsumed=";
+      for (size_t i = 0; i < verdicts->size(); ++i) {
+        if (i > 0) text += ',';
+        text += (*verdicts)[i] ? "true" : "false";
+      }
+      return OkReply(std::move(text));
+    }
+    case Verb::kClassify: {
+      base::ReaderLock lock(&session->mu());
+      auto hierarchy = session->Classify(trace);
+      if (!hierarchy.ok()) return StatusReply(hierarchy.status());
+      return OkReply(std::move(*hierarchy));
+    }
+    case Verb::kOptimize: {
+      base::ReaderLock lock(&session->mu());
+      auto plan = session->Optimize(args[1], trace);
+      if (!plan.ok()) return StatusReply(plan.status());
+      return OkReply(std::move(*plan));
+    }
+    case Verb::kRepl:  // envelopes are unwrapped by Dispatch
+    case Verb::kForward:
+    case Verb::kOther:
+    case Verb::kCount:
+      break;
   }
-  if (verb == "UNDEFINE") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: UNDEFINE <session> <query-class>");
-    }
-    base::WriterLock lock(&session->mu());
-    // Taxonomy repair is pure graph surgery (no subsumption checks), but
-    // it is still session mutation; attribute it to the engine phase.
-    obs::ScopedSpan span(trace, obs::Phase::kEngine);
-    auto summary = session->UndefineView(tokens[2]);
-    if (!summary.ok()) return StatusReply(summary.status());
-    return OkReply(std::move(*summary));
-  }
-  if (verb == "CHECK") {
-    if (tokens.size() != 4) {
-      return ErrReply(kErrProto, "usage: CHECK <session> <C> <D>");
-    }
-    base::ReaderLock lock(&session->mu());
-    auto verdict = session->Check(tokens[2], tokens[3], trace);
-    if (!verdict.ok()) return StatusReply(verdict.status());
-    return OkReply(StrCat("subsumed=", *verdict ? "true" : "false"));
-  }
-  if (verb == "BCHECK") {
-    // Batched CHECK: N pairs, one verdict per pair, in order. One frame
-    // buys one dispatch, one session lock, and grouped SubsumesBatch
-    // runs instead of N full round trips.
-    if (tokens.size() < 2 || (tokens.size() - 2) % 2 != 0) {
-      return ErrReply(kErrProto, "usage: BCHECK <session> [<C> <D>]...");
-    }
-    const size_t count = (tokens.size() - 2) / 2;
-    if (count > kMaxBatchPairs) {
-      return ErrReply(kErrProto,
-                      StrCat("batch exceeds ", kMaxBatchPairs, " pairs"));
-    }
-    std::vector<std::pair<std::string, std::string>> pairs;
-    pairs.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      pairs.emplace_back(tokens[2 + 2 * i], tokens[3 + 2 * i]);
-    }
-    base::ReaderLock lock(&session->mu());
-    auto verdicts = session->CheckBatch(pairs, trace);
-    if (!verdicts.ok()) return StatusReply(verdicts.status());
-    std::string text = "subsumed=";
-    for (size_t i = 0; i < verdicts->size(); ++i) {
-      if (i > 0) text += ',';
-      text += (*verdicts)[i] ? "true" : "false";
-    }
-    return OkReply(std::move(text));
-  }
-  if (verb == "CLASSIFY") {
-    if (tokens.size() != 2) {
-      return ErrReply(kErrProto, "usage: CLASSIFY <session>");
-    }
-    base::ReaderLock lock(&session->mu());
-    auto hierarchy = session->Classify(trace);
-    if (!hierarchy.ok()) return StatusReply(hierarchy.status());
-    return OkReply(std::move(*hierarchy));
-  }
-  if (verb == "OPTIMIZE") {
-    if (tokens.size() != 3) {
-      return ErrReply(kErrProto, "usage: OPTIMIZE <session> <query-class>");
-    }
-    base::ReaderLock lock(&session->mu());
-    auto plan = session->Optimize(tokens[2], trace);
-    if (!plan.ok()) return StatusReply(plan.status());
-    return OkReply(std::move(*plan));
-  }
-  return ErrReply(kErrProto, StrCat("unknown command '", verb, "'"));
+  return ErrReply(kErrProto, StrCat("unknown command '", cmd.verb, "'"));
 }
 
-Reply Server::DispatchLoad(const std::vector<std::string>& tokens,
-                           const std::string& payload,
-                           obs::TraceContext* trace) {
-  const std::string& name = tokens[1];
-  // Parse/translate outside any lock — LOAD of a big schema must not
-  // stall requests against other sessions.
-  auto session = Session::FromSource(payload, options_.checker, trace);
-  if (!session.ok()) return StatusReply(session.status());
-  std::string summary = (*session)->Summary();
-  {
-    base::MutexLock lock(&sessions_mu_);
-    auto it = sessions_.find(name);
-    if (it == sessions_.end() && sessions_.size() >= options_.max_sessions) {
-      return ErrReply("resource_exhausted",
-                      StrCat("session limit (", options_.max_sessions,
-                             ") reached"));
-    }
-    // Replacing is atomic for new requests; in-flight requests finish
-    // against the old session via their shared_ptr.
-    sessions_[name] = std::move(*session);
-  }
-  return OkReply(StrCat("session=", name, " ", summary));
-}
-
-Reply Server::DispatchState(const std::vector<std::string>& tokens,
-                            const std::string& payload,
-                            obs::TraceContext* trace) {
-  std::shared_ptr<Session> session = FindSession(tokens[1]);
-  if (session == nullptr) {
-    return ErrReply("not_found", StrCat("no session '", tokens[1], "'"));
-  }
-  base::WriterLock lock(&session->mu());
-  obs::ScopedSpan span(trace, obs::Phase::kParse);
-  if (Status s = session->LoadState(payload); !s.ok()) {
-    return StatusReply(s);
-  }
-  return OkReply("state loaded (views reset, re-issue VIEW)");
-}
-
-Reply Server::DispatchStats(const std::vector<std::string>& tokens) {
+Reply Server::DispatchStats(Args args) {
   ServerStats s = stats();
   std::string text = StrCat(
       "server: connections=", s.connections, " requests=", s.requests,
@@ -1499,12 +1330,12 @@ Reply Server::DispatchStats(const std::vector<std::string>& tokens) {
     base::ReaderLock lock(&session->mu());
     text = StrCat(text, "\nsession ", name, ": ", session->StatsText());
   };
-  if (tokens.size() >= 2) {
-    std::shared_ptr<Session> session = FindSession(tokens[1]);
+  if (!args.empty()) {
+    std::shared_ptr<Session> session = FindSession(args[0]);
     if (session == nullptr) {
-      return ErrReply("not_found", StrCat("no session '", tokens[1], "'"));
+      return ErrReply("not_found", StrCat("no session '", args[0], "'"));
     }
-    append(tokens[1], session);
+    append(args[0], session);
   } else {
     std::vector<std::pair<std::string, std::shared_ptr<Session>>> all;
     {

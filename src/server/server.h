@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -42,41 +43,11 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/session.h"
+#include "server/verbs.h"
 #include "server/wire.h"
 #include "service/thread_pool.h"
 
-struct iovec;  // <sys/uio.h>; forward-declared to keep it out of the API
-
 namespace oodb::server {
-
-// Protocol verbs, for per-verb accounting. kOther bins unknown commands.
-enum class Verb : uint8_t {
-  kPing,
-  kLoad,
-  kState,
-  kView,
-  kUndefine,
-  kCheck,
-  kBcheck,
-  kClassify,
-  kOptimize,
-  kStats,
-  kSleep,
-  kShutdown,
-  kMetrics,
-  kTrace,
-  kHealth,   // ok/degraded summary for load balancers and smoke tests
-  kRepl,     // owner → replica: apply one logged mutation (cluster mode)
-  kForward,  // peer → owner: proxy a request for a session we don't own
-  kOther,
-  kCount,
-};
-
-inline constexpr size_t kNumVerbs = static_cast<size_t>(Verb::kCount);
-
-// "CHECK", "CLASSIFY", ... ("?" for kOther).
-const char* VerbName(Verb verb);
-Verb VerbOf(const std::string& token);
 
 struct ServerOptions {
   // TCP port to bind on 127.0.0.1; 0 picks an ephemeral port (read it
@@ -183,6 +154,40 @@ class Server {
     std::string bytes;  // already in wire form (text or binary)
   };
 
+  using Args = std::span<const std::string>;
+
+  // A command as dispatch sees it: the verb's kVerbs row (null for an
+  // unknown verb), the verb as sent, and its arguments.
+  struct Command {
+    const VerbSpec* spec = nullptr;
+    std::string_view verb;
+    Args args;
+
+    std::string line() const;  // back to one command line
+  };
+
+  // One decoded frame, parsed once for both framings. For REPL/FORWARD
+  // the parse also reads the optional `@origin:trace` header and finds
+  // the carried request, which is a sub-span of the same tokens: neither
+  // the framing nor dispatch parses the envelope again. It stores
+  // offsets, not views, so it moves into a pool task safely; Commands
+  // are views built on demand and must not outlive it.
+  struct Request {
+    std::vector<std::string> tokens;  // the command line
+    std::string payload;
+    const VerbSpec* spec = nullptr;  // row of tokens[0]
+    size_t args_at = 1;  // first argument; 2 after an envelope's header
+    size_t origin = 0;          // header: the sending node's index
+    uint64_t origin_trace = 0;  // header: its request's trace id
+    size_t carried_at = 0;      // envelope: the carried verb; 0 = none
+
+    static Request Parse(std::vector<std::string> tokens);
+    Command command() const;  // the request as sent
+    Command carried() const;  // an envelope's carried request
+    // The command that executes: the carried one for an envelope.
+    Command target() const { return carried_at != 0 ? carried() : command(); }
+  };
+
   // One admitted request waiting to ride the next pool submission. A
   // parse pass over a pipelined connection collects every complete frame
   // into pending_work_ and hands the burst to the pool as a single task,
@@ -192,8 +197,7 @@ class Server {
     Verb vkind = Verb::kOther;
     std::shared_ptr<obs::TraceContext> trace;
     std::chrono::steady_clock::time_point enqueued;
-    std::vector<std::string> tokens;
-    std::string payload;
+    Request request;
   };
 
   // ---- Event-loop side (all run on loop_ only) ----
@@ -208,8 +212,11 @@ class Server {
   bool ParseBinaryFrame(Connection& conn);  // one frame; false = no progress
   // Routes one decoded frame: inline verbs answered on the loop,
   // everything else admitted onto the pool.
-  void HandleFrame(Connection& conn, uint64_t request_id,
-                   std::vector<std::string> tokens, std::string payload);
+  void HandleFrame(Connection& conn, uint64_t request_id, Request req);
+  // Counts one parsed frame, in total and by verb.
+  void CountRequest(Verb vkind);
+  // Bumps the ok/err/busy counters for one reply.
+  void CountReply(const Reply& reply, Verb vkind);
   // Appends an inline (loop-thread) reply to the connection's output.
   void QueueReply(Connection& conn, uint64_t request_id, const Reply& reply,
                   Verb vkind);
@@ -223,8 +230,9 @@ class Server {
   void AppendOutput(Connection& conn, std::string bytes);
   // Advances the output queue past `n` written bytes.
   void ConsumeOutput(Connection& conn, size_t n);
-  // Fills `iov` (kMaxIov slots) from the queue; returns the slot count.
-  int GatherOutput(Connection& conn, iovec* iov);
+  // Gather-writes queued output until it is all sent or the socket would
+  // block. False when the peer is gone.
+  bool WriteOutput(Connection& conn);
   void FlushOutput(Connection& conn);
   // Keeps EPOLLIN/EPOLLOUT interest in sync with buffer state.
   void UpdateInterest(Connection& conn);
@@ -240,42 +248,35 @@ class Server {
   // eventfd wakeup per empty→non-empty transition of the queue.
   void PushCompletions(std::vector<Completion> batch) EXCLUDES(comp_mu_);
 
-  // Who handed us this request — decides routing and replication.
-  // kClient: an ordinary connection; ownership is checked and the
-  //   request may be proxied (FORWARD) to the owning node.
-  // kForwarded: another node already routed it here; skip the ownership
-  //   check (we are the owner, or a replica serving a failed-over read)
-  //   but still replicate mutations.
-  // kReplica: a REPL apply; skip both (never re-replicate).
-  enum class Route : uint8_t { kClient, kForwarded, kReplica };
-
-  Reply Dispatch(const std::vector<std::string>& tokens,
-                 const std::string& payload, obs::TraceContext* trace,
-                 Route route = Route::kClient);
-  // The single-node dispatch body: no routing, no replication.
-  Reply DispatchLocal(const std::vector<std::string>& tokens,
-                      const std::string& payload, obs::TraceContext* trace);
-  // REPL <seq> <verb> <session> ...: apply one replicated mutation if it
-  // is next in sequence (serialized per daemon by repl_mu_).
-  Reply DispatchRepl(const std::vector<std::string>& tokens,
-                     const std::string& payload, obs::TraceContext* trace)
+  // Unwraps a REPL/FORWARD envelope, then serves the request.
+  Reply Dispatch(const Request& req, obs::TraceContext* trace);
+  // Cluster routing around Execute: proxies a session the node does not
+  // serve to its owner, and replicates the mutations it applies. A
+  // `forwarded` request was routed here by another node, so the
+  // ownership check is skipped (we are the owner, or a replica serving a
+  // failed-over read).
+  Reply Serve(const Command& cmd, const std::string& payload,
+              obs::TraceContext* trace, bool forwarded);
+  // Runs one command on this node: the session lookup and arity check in
+  // the order the replies have always had, then one switch on the verb.
+  // The event loop calls it for inline verbs, workers for the rest.
+  Reply Execute(const Command& cmd, const std::string& payload,
+                obs::TraceContext* trace);
+  // REPL [@o:t] <seq> <verb> <session> ...: apply one replicated mutation
+  // if it is next in sequence (serialized per daemon by repl_mu_).
+  Reply ApplyRepl(const Request& req, obs::TraceContext* trace)
       EXCLUDES(repl_mu_);
-  // Proxies `tokens` to the owning node as a FORWARD frame; idempotent
+  // Proxies `cmd` to the owning node as a FORWARD frame; idempotent
   // reads fail over to the session's replicas when the owner is down.
   // The whole proxy attempt is a kForward span on `trace`, and the peer
   // that answered is stamped into trace->peer.
-  Reply ForwardToOwner(size_t owner, const std::vector<std::string>& tokens,
-                       const std::string& payload,
-                       obs::TraceContext* trace);
+  Reply ForwardToOwner(size_t owner, const Command& cmd,
+                       const std::string& payload, obs::TraceContext* trace);
   // One proxy attempt. Returns true if the peer answered (authoritative
   // reply in *reply), false on a transport fault (try another node).
   bool ForwardTo(size_t node, const std::string& line,
                  const std::string& payload, Reply* reply);
-  Reply DispatchLoad(const std::vector<std::string>& tokens,
-                     const std::string& payload, obs::TraceContext* trace);
-  Reply DispatchState(const std::vector<std::string>& tokens,
-                      const std::string& payload, obs::TraceContext* trace);
-  Reply DispatchStats(const std::vector<std::string>& tokens);
+  Reply DispatchStats(Args args);
   // The HEALTH verb body: "status=ok|degraded|draining" plus, in
   // cluster mode, the degraded criteria (down peers, replica lag).
   std::string HealthText() const;
@@ -360,9 +361,8 @@ class Server {
   obs::MetricsRegistry registry_;
   obs::SlowQueryLog slow_log_;
   std::atomic<uint64_t> trace_seq_{0};
-  // Request-latency histograms by verb (registry-owned); null for verbs
-  // answered inline (PING/HEALTH/METRICS/TRACE/SHUTDOWN) and unknown
-  // commands.
+  // Request-latency histograms by verb (registry-owned); null for the
+  // verbs kVerbs flags inline and for unknown commands.
   std::array<obs::Histogram*, kNumVerbs> latency_{};
 
   // Event-loop self-instrumentation (registry-owned; docs/observability

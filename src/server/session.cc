@@ -142,27 +142,27 @@ Result<bool> Session::Check(const std::string& c, const std::string& d,
 }
 
 Result<std::vector<bool>> Session::CheckBatch(
-    const std::vector<std::pair<std::string, std::string>>& pairs,
-    obs::TraceContext* trace) {
-  std::vector<ql::ConceptId> lhs(pairs.size());
-  std::vector<ql::ConceptId> rhs(pairs.size());
+    std::span<const std::string> operands, obs::TraceContext* trace) {
+  const size_t count = operands.size() / 2;
+  std::vector<ql::ConceptId> lhs(count);
+  std::vector<ql::ConceptId> rhs(count);
   {
     obs::ScopedSpan span(trace, obs::Phase::kTranslate);
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      OODB_ASSIGN_OR_RETURN(lhs[i], ConceptOf(pairs[i].first));
-      OODB_ASSIGN_OR_RETURN(rhs[i], ConceptOf(pairs[i].second));
+    for (size_t i = 0; i < count; ++i) {
+      OODB_ASSIGN_OR_RETURN(lhs[i], ConceptOf(operands[2 * i]));
+      OODB_ASSIGN_OR_RETURN(rhs[i], ConceptOf(operands[2 * i + 1]));
     }
   }
   // Group pair indices by left operand, preserving first-seen order, so
   // each distinct C costs one SubsumesBatch call over all its Ds.
   std::unordered_map<ql::ConceptId, size_t> group_of;
   std::vector<std::pair<ql::ConceptId, std::vector<size_t>>> groups;
-  for (size_t i = 0; i < pairs.size(); ++i) {
+  for (size_t i = 0; i < count; ++i) {
     auto [it, inserted] = group_of.emplace(lhs[i], groups.size());
     if (inserted) groups.push_back({lhs[i], {}});
     groups[it->second].second.push_back(i);
   }
-  std::vector<bool> verdicts(pairs.size());
+  std::vector<bool> verdicts(count);
   for (const auto& [c, indices] : groups) {
     std::vector<ql::ConceptId> ds;
     ds.reserve(indices.size());
@@ -173,7 +173,7 @@ Result<std::vector<bool>> Session::CheckBatch(
       verdicts[indices[k]] = group_verdicts[k];
     }
   }
-  checks_.fetch_add(pairs.size(), std::memory_order_relaxed);
+  checks_.fetch_add(count, std::memory_order_relaxed);
   return verdicts;
 }
 

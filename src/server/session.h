@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -71,9 +72,10 @@ class Session {
   // verb). Pairs sharing a left operand are grouped onto a single
   // SubsumesBatch call — the catalog-scan fast path one completion run
   // decides — so a query-vs-view-catalog batch costs one engine run.
-  Result<std::vector<bool>> CheckBatch(
-      const std::vector<std::pair<std::string, std::string>>& pairs,
-      obs::TraceContext* trace = nullptr) REQUIRES_SHARED(mu_);
+  // `operands` lists the pairs flat: C1 D1 C2 D2 ... (an even count).
+  Result<std::vector<bool>> CheckBatch(std::span<const std::string> operands,
+                                       obs::TraceContext* trace = nullptr)
+      REQUIRES_SHARED(mu_);
 
   // Classifies schema + query classes; returns the hierarchy rendering.
   // The taxonomy is RESIDENT: the first call classifies from scratch,

@@ -595,5 +595,68 @@ TEST(Cluster, HealthVerbReportsDegradationAndPeerDeadlinesFire) {
   fleet->ShutdownAll();
 }
 
+TEST(Cluster, ForwardedBarePayloadVerbsAnswerUsageAndKeepServing) {
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  // FORWARD hands its carried request to the same arity check as a bare
+  // one: a carried LOAD or STATE with no session once reached the
+  // handler without a session token and crashed the daemon.
+  for (const bool binary : {false, true}) {
+    server::Client client = MustConnect(fleet->config.nodes[0].port);
+    if (binary) {
+      ASSERT_TRUE(client.EnableBinary().ok());
+    }
+    for (const char* line : {"FORWARD LOAD", "FORWARD @1:9 STATE"}) {
+      SCOPED_TRACE(StrCat(binary ? "binary " : "text ", line));
+      auto r = client.Roundtrip(line);
+      ASSERT_FALSE(r.ok());
+      const std::string verb(StrSplit(line, ' ').back());
+      EXPECT_EQ(r.status().message(),
+                StrCat("proto: usage: ", verb, " <session> <nbytes>"));
+      EXPECT_TRUE(client.Ping().ok());
+    }
+  }
+  fleet->ShutdownAll();
+}
+
+// Per-verb request counts from a node's STATS `verbs:` line ("0" when the
+// verb is absent).
+std::string VerbCount(ClusterClient& client, size_t node,
+                      const std::string& verb) {
+  auto stats = client.CallAt(node, "STATS");
+  EXPECT_TRUE(stats.ok()) << stats.status();
+  if (!stats.ok()) return "";
+  const std::string key = StrCat(" ", verb, "=");
+  const size_t at = stats->find(key);
+  if (at == std::string::npos) return "0";
+  const size_t start = at + key.size();
+  return stats->substr(start, stats->find('/', start) - start);
+}
+
+TEST(Cluster, VerbsWithoutASessionRouteToNodeZero) {
+  auto fleet = Fleet::Start(2, 1);
+  ASSERT_NE(fleet, nullptr);
+  // An argument that would hash to node 1 if it were taken as a session.
+  const Ring ring(fleet->config.nodes);
+  std::string arg;
+  for (int i = 1;; ++i) {
+    ASSERT_LT(i, 1000);
+    arg = std::to_string(i);
+    if (ring.OwnerOf(arg) == 1) break;
+  }
+  ClusterClient client(fleet->config);
+  for (const std::string& line :
+       {StrCat("TRACE ", arg), std::string("TRACE"), StrCat("SLEEP ", arg)}) {
+    auto r = client.Call(line);
+    EXPECT_TRUE(r.ok()) << line << ": " << r.status();
+  }
+  // TRACE <n> and TRACE land on the same node; so does SLEEP <ms>.
+  EXPECT_EQ(VerbCount(client, 0, "TRACE"), "2");
+  EXPECT_EQ(VerbCount(client, 0, "SLEEP"), "1");
+  EXPECT_EQ(VerbCount(client, 1, "TRACE"), "0");
+  EXPECT_EQ(VerbCount(client, 1, "SLEEP"), "0");
+  fleet->ShutdownAll();
+}
+
 }  // namespace
 }  // namespace oodb::cluster

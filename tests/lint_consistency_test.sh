@@ -7,7 +7,9 @@
 #   4. it fails when BENCH_cluster.json drops a field bench_cluster.cc
 #      emits (schema drift between artifact and source);
 #   5. it fails when a cluster/loop metric emitted in code loses its
-#      docs/observability.md row.
+#      docs/observability.md row;
+#   6. it fails when HEALTH, an inline row of the verb table, is dropped
+#      from the inline verbs of docs/server.md section 3.
 #
 # usage: lint_consistency_test.sh <repo_root>
 set -eu
@@ -22,7 +24,7 @@ python3 "$LINTER" --root "$ROOT"
 
 # Build a minimal tree copy holding exactly the files the linter reads.
 mkdir -p "$TMP/src/server" "$TMP/docs" "$TMP/tests" "$TMP/bench"
-cp "$ROOT/src/server/server.h" "$ROOT/src/server/server.cc" "$TMP/src/server/"
+cp "$ROOT/src/server/verbs.h" "$ROOT/src/server/server.cc" "$TMP/src/server/"
 cp "$ROOT/docs/server.md" "$ROOT/docs/observability.md" "$TMP/docs/"
 cp "$ROOT/tests/server_test.cc" "$ROOT/tests/cluster_test.cc" "$TMP/tests/"
 cp "$ROOT/bench/CMakeLists.txt" "$TMP/bench/"
@@ -65,6 +67,19 @@ grep -v 'oodb_cluster_repl_lag_max' "$ROOT/docs/observability.md" \
   > "$TMP/docs/observability.md"
 if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
   echo "FAIL: linter passed with oodb_cluster_repl_lag_max undocumented" >&2
+  exit 1
+fi
+cp "$ROOT/docs/observability.md" "$TMP/docs/"
+
+# 6. An inline verb missing from the section 3 inline list must fail.
+sed 's/^- \*\*Inline verbs\*\*: `PING`, `HEALTH`, /- **Inline verbs**: `PING`, /' \
+  "$ROOT/docs/server.md" > "$TMP/docs/server.md"
+if cmp -s "$ROOT/docs/server.md" "$TMP/docs/server.md"; then
+  echo "FAIL: could not drop HEALTH from the inline verbs list" >&2
+  exit 1
+fi
+if python3 "$LINTER" --root "$TMP" 2>/dev/null; then
+  echo "FAIL: linter passed with HEALTH missing from the inline verbs" >&2
   exit 1
 fi
 

@@ -1159,5 +1159,163 @@ TEST(Server, ManyConcurrentConnectionsStayResponsive) {
   server.Shutdown();
 }
 
+TEST(Server, BareBinaryPayloadVerbsAnswerUsageAndKeepServing) {
+  Server server;
+  auto port = server.Start();
+  ASSERT_TRUE(port.ok()) << port.status();
+
+  // A kLine frame whose whole line is LOAD (23 bytes) or STATE (24 bytes)
+  // once reached the handler with no session token and crashed the
+  // daemon. Both framings now share one arity check.
+  RawBinaryConn conn = RawBinaryConn::Open(*port);
+  const std::pair<const char*, const char*> cases[] = {
+      {"LOAD", "usage: LOAD <session> <nbytes>"},
+      {"STATE", "usage: STATE <session> <nbytes>"}};
+  uint64_t id = 40;
+  for (const auto& [line, usage] : cases) {
+    const std::string frame = EncodeBinaryLineRequest(++id, line);
+    EXPECT_EQ(frame.size(), 19u + std::string_view(line).size()) << line;
+    ASSERT_TRUE(WriteFully(conn.fd, frame));
+    auto reply = conn.ReadReply();
+    ASSERT_TRUE(reply.ok()) << line << ": " << reply.status();
+    EXPECT_EQ(reply->id, id);
+    EXPECT_EQ(reply->reply.kind, Reply::Kind::kErr) << line;
+    EXPECT_EQ(reply->reply.code, "proto") << line;
+    EXPECT_EQ(reply->reply.payload, usage);
+
+    // The same connection keeps answering.
+    ASSERT_TRUE(WriteFully(conn.fd, EncodeBinaryLineRequest(++id, "PING")));
+    auto pong = conn.ReadReply();
+    ASSERT_TRUE(pong.ok()) << pong.status();
+    EXPECT_EQ(pong->id, id);
+    EXPECT_EQ(pong->reply.kind, Reply::Kind::kOk);
+    EXPECT_EQ(pong->reply.payload, "pong");
+  }
+  server.Shutdown();
+}
+
+// A reply as one comparable string: "OK <payload>", "ERR <code>:
+// <message>", or "BUSY".
+std::string ReplyText(const Result<std::string>& reply) {
+  if (reply.ok()) return "OK " + *reply;
+  if (reply.status().code() == StatusCode::kResourceExhausted) return "BUSY";
+  return StrCat("ERR ", reply.status().message());
+}
+
+// Replies to argument lists outside each verb's bounds, in both framings.
+// The lines are built from the verb table, so a row with no entry here
+// fails the test. ERR entries match exactly; OK entries by prefix.
+// Expected values are the daemon's replies before the verb table, with
+// one deliberate exception: a binary LOAD or STATE line skipped the text
+// framing's arity check. "LOAD" and "STATE" alone crashed the daemon, and
+// "LOAD s", "LOAD s Q A", "STATE s" and "STATE s Q A" ran with the byte
+// count missing or ignored ("LOAD s" replaced session s with an empty
+// schema). Binary frames now get the usage reply text frames always got.
+TEST(Server, EveryVerbAnswersBadArgumentCountsAsBefore) {
+  std::map<std::string, std::string> expected = {
+      {"PING", "OK pong"},
+      {"LOAD", "ERR proto: usage: LOAD <session> <nbytes>"},
+      {"LOAD s", "ERR proto: usage: LOAD <session> <nbytes>"},
+      {"LOAD s Q A", "ERR proto: usage: LOAD <session> <nbytes>"},
+      {"STATE", "ERR proto: usage: STATE <session> <nbytes>"},
+      {"STATE s", "ERR proto: usage: STATE <session> <nbytes>"},
+      {"STATE s Q A", "ERR proto: usage: STATE <session> <nbytes>"},
+      {"VIEW", "ERR proto: VIEW needs a session name"},
+      {"VIEW s", "ERR proto: usage: VIEW <session> <query-class>"},
+      {"VIEW s Q A", "ERR proto: usage: VIEW <session> <query-class>"},
+      {"UNDEFINE", "ERR proto: UNDEFINE needs a session name"},
+      {"UNDEFINE s", "ERR proto: usage: UNDEFINE <session> <query-class>"},
+      {"UNDEFINE s Q A",
+       "ERR proto: usage: UNDEFINE <session> <query-class>"},
+      {"CHECK", "ERR proto: CHECK needs a session name"},
+      {"CHECK s Q", "ERR proto: usage: CHECK <session> <C> <D>"},
+      {"CHECK s Q A B", "ERR proto: usage: CHECK <session> <C> <D>"},
+      {"BCHECK", "ERR proto: BCHECK needs a session name"},
+      {"CLASSIFY", "ERR proto: CLASSIFY needs a session name"},
+      {"CLASSIFY s Q", "ERR proto: usage: CLASSIFY <session>"},
+      {"OPTIMIZE", "ERR proto: OPTIMIZE needs a session name"},
+      {"OPTIMIZE s", "ERR proto: usage: OPTIMIZE <session> <query-class>"},
+      {"OPTIMIZE s Q A",
+       "ERR proto: usage: OPTIMIZE <session> <query-class>"},
+      {"STATS", "OK server: "},
+      {"SLEEP", "ERR proto: usage: SLEEP <ms≤10000>"},
+      {"SLEEP 1 Q", "ERR proto: usage: SLEEP <ms≤10000>"},
+      {"SHUTDOWN", "OK draining"},
+      {"METRICS", "OK # HELP "},
+      {"METRICS 1", "ERR proto: usage: METRICS"},
+      {"TRACE", "OK "},
+      {"TRACE 1 Q", "ERR proto: usage: TRACE [n]"},
+      {"HEALTH", "OK status=ok"},
+      {"HEALTH 1", "ERR proto: usage: HEALTH"},
+      {"REPL", "ERR proto: REPL outside cluster mode"},
+      {"REPL 1 Q", "ERR proto: REPL outside cluster mode"},
+      {"FORWARD", "ERR proto: FORWARD outside cluster mode"},
+      // The session lookup runs before the argument count is judged.
+      {"CHECK nosuch Q",
+       "ERR not_found: no session 'nosuch' (LOAD one first)"},
+      // Values, not counts: the same usage replies.
+      {"BCHECK s Q", "ERR proto: usage: BCHECK <session> [<C> <D>]..."},
+      {"TRACE Q", "ERR proto: usage: TRACE [n]"},
+      {"SLEEP Q", "ERR proto: usage: SLEEP <ms≤10000>"},
+      {"FROB Q", "ERR proto: unknown command 'FROB'"},
+  };
+
+  std::vector<std::string> lines;
+  for (const VerbSpec& spec : kVerbs) {
+    // Filler arguments: a loaded session first where the verb takes one.
+    auto line = [&](size_t nargs) {
+      std::string out(spec.name);
+      const char* fill[] = {spec.Has(kSession) ? "s" : "1", "Q", "A", "B"};
+      for (size_t i = 0; i < nargs; ++i) out = StrCat(out, " ", fill[i]);
+      return out;
+    };
+    lines.push_back(line(0));
+    if (spec.min_args > 1) lines.push_back(line(spec.min_args - 1));
+    if (spec.max_args != kAnyArgs) lines.push_back(line(spec.max_args + 1));
+  }
+  std::string over_cap = "BCHECK s";
+  for (size_t i = 0; i <= kMaxBatchPairs; ++i) over_cap += " Q A";
+  expected[over_cap] = "ERR proto: batch exceeds 4096 pairs";
+  for (const std::string& extra : {std::string("CHECK nosuch Q"),
+                                   std::string("BCHECK s Q"),
+                                   std::string("TRACE Q"),
+                                   std::string("SLEEP Q"),
+                                   std::string("FROB Q"), over_cap}) {
+    lines.push_back(extra);
+  }
+
+  const std::string source =
+      "Class A with end A\nClass B isA A with end B\n"
+      "QueryClass Q isA A with end Q\n";
+  for (const bool binary : {false, true}) {
+    Server server;
+    auto port = server.Start();
+    ASSERT_TRUE(port.ok()) << port.status();
+    Client client = MustConnect(*port);
+    if (binary) {
+      ASSERT_TRUE(client.EnableBinary().ok());
+    }
+    ASSERT_TRUE(client.Load("s", source).ok());
+    auto check = [&](const std::string& line) {
+      SCOPED_TRACE(StrCat(binary ? "binary " : "text ", line));
+      auto want = expected.find(line);
+      ASSERT_NE(want, expected.end()) << "no expected reply for this line";
+      const std::string got = ReplyText(client.Roundtrip(line));
+      if (want->second.rfind("OK ", 0) == 0) {
+        EXPECT_EQ(got.substr(0, want->second.size()), want->second);
+      } else {
+        EXPECT_EQ(got, want->second);
+      }
+    };
+    for (const std::string& line : lines) {
+      if (line == "SHUTDOWN") continue;  // drains the daemon: last, below
+      check(line);
+      EXPECT_TRUE(client.Ping().ok());  // errors leave the connection usable
+    }
+    check("SHUTDOWN");
+    server.Wait();
+  }
+}
+
 }  // namespace
 }  // namespace oodb::server

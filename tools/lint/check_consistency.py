@@ -2,42 +2,45 @@
 """Repo-specific consistency lint: wire protocol vs docs vs metrics vs
 tests, and bench baselines vs bench sources vs EXPERIMENTS.md.
 
-The daemon's protocol surface is spread over four artifacts that drift
-independently: the Verb enum (src/server/server.h), the VerbName switch
-and per-verb metrics registration (src/server/server.cc), the command
-table in docs/server.md, and the contract tests (tests/server_test.cc).
-UNDEFINE-style rot — a verb added to the wire but never documented,
-timed, or tested — is exactly what this pass fails CI for.
+Every fact about a daemon verb lives in one row of the verb table,
+`kVerbs` in src/server/verbs.h: its wire name, its Verb enumerator,
+its argument bounds and usage text, and its flags (inline, session,
+mutation, idempotent, payload, envelope). A row therefore always has a
+name and an inline-or-pooled class (pooled verbs get a latency
+histogram); the C++ compiler checks that the rows follow the enum. What
+can still drift is everything outside the table: the command table and
+the concurrency notes in docs/server.md, and the contract tests.
+UNDEFINE-style rot — a verb added to the wire but never documented or
+tested — is exactly what this pass fails CI for.
 
 Checks (each failure is one line on stderr; exit 1 if any):
-  1. Every Verb enumerator (minus kOther/kCount) has a VerbName case.
-  2. Every wire verb has a command row in docs/server.md ("## 2.
+  1. Every wire verb has a command row in docs/server.md ("## 2.
      Commands" table, rows starting with the verb in backticks).
-  3. Every wire verb is accounted for in metrics: either in the
-     kTimedVerbs latency-histogram list (server.cc) or in the
-     inline-verbs list documented next to latency_ (server.h).
-  4. Every wire verb is mentioned in tests/server_test.cc or
+  2. The inline verbs listed in docs/server.md section 3 (the
+     "**Inline verbs**" bullet) are exactly the rows kVerbs flags
+     kInline.
+  3. Every wire verb is mentioned in tests/server_test.cc or
      tests/cluster_test.cc (case-insensitive — the test client wraps
      verbs in methods; the cluster verbs REPL/FORWARD live in the
      cluster suite).
-  5. Every docs/server.md command row names a real wire verb (no
+  4. Every docs/server.md command row names a real wire verb (no
      documented-but-unimplemented commands).
-  6. Every BENCH_<x>.json baseline has bench/bench_<x>.cc, a
+  5. Every BENCH_<x>.json baseline has bench/bench_<x>.cc, a
      registration in bench/CMakeLists.txt, and a `bench_<x>` reference
      in an experiment heading of EXPERIMENTS.md.
-  7. Every bench/bench_<x>.cc is registered in bench/CMakeLists.txt.
-  8. The daemon bench artifact agrees with its source and docs: the
+  6. Every bench/bench_<x>.cc is registered in bench/CMakeLists.txt.
+  7. The daemon bench artifact agrees with its source and docs: the
      pipeline-depth sweep in bench/bench_server.cc matches the
      `pipeline_depths` field of BENCH_server.json, the protocol list is
      text,binary, the checked-in baseline is green (no transport errors
      or verdict mismatches), and every headline field is documented in
      docs/server.md.
-  9. The cluster bench artifact agrees with its source: the fields of
+  8. The cluster bench artifact agrees with its source: the fields of
      BENCH_cluster.json are exactly the literal json.Add keys of
      bench/bench_cluster.cc, and the checked-in baseline is a green run
      (zero verdict mismatches, transport errors and failover failures;
      1->4 scaling at or above the 2.5x acceptance gate).
-  10. Every `oodb_cluster_*` / `oodb_loop_*` metric name emitted by a
+  9. Every `oodb_cluster_*` / `oodb_loop_*` metric name emitted by a
      source file under src/ is documented in docs/observability.md
      (the cluster-observability catalog, section 6) — fleet dashboards
      are built from the docs, so an undocumented series is invisible.
@@ -56,43 +59,20 @@ def read(root: pathlib.Path, rel: str) -> str:
     return (root / rel).read_text(encoding="utf-8")
 
 
-def parse_verb_enum(server_h: str) -> list[str]:
-    """Enumerators of `enum class Verb`, in order, without kOther/kCount."""
-    m = re.search(r"enum class Verb[^{]*\{([^}]*)\}", server_h, re.S)
+def parse_verb_table(verbs_h: str) -> list[tuple[str, set[str]]]:
+    """(wire name, flag names) for each row of kVerbs, in order."""
+    m = re.search(r"constexpr VerbSpec kVerbs\[\]\s*=\s*\{(.*?)\n\};",
+                  verbs_h, re.S)
     if not m:
-        sys.exit("check_consistency: cannot find `enum class Verb` "
-                 "in src/server/server.h")
-    names = re.findall(r"\bk[A-Z]\w*", m.group(1))
-    return [n for n in names if n not in ("kOther", "kCount")]
-
-
-def parse_verb_names(server_cc: str) -> dict[str, str]:
-    """Mapping enumerator -> wire string from the VerbName switch."""
-    m = re.search(r"const char\* VerbName\(Verb verb\) \{(.*?)\n\}",
-                  server_cc, re.S)
-    if not m:
-        sys.exit("check_consistency: cannot find VerbName() "
-                 "in src/server/server.cc")
-    return dict(re.findall(
-        r"case Verb::(k\w+):\s*return \"([A-Z]+)\";", m.group(1)))
-
-
-def parse_timed_verbs(server_cc: str) -> set[str]:
-    """Enumerators listed in the kTimedVerbs histogram registration."""
-    m = re.search(r"kTimedVerbs\[\]\s*=\s*\{([^}]*)\}", server_cc)
-    if not m:
-        sys.exit("check_consistency: cannot find kTimedVerbs "
-                 "in src/server/server.cc")
-    return set(re.findall(r"Verb::(k\w+)", m.group(1)))
-
-
-def parse_inline_verbs(server_h: str) -> set[str]:
-    """Wire names in the 'answered inline (A/B/C)' comment by latency_."""
-    m = re.search(r"answered inline \(([A-Z/]+)\)", server_h)
-    if not m:
-        sys.exit("check_consistency: cannot find the 'answered inline "
-                 "(...)' comment in src/server/server.h")
-    return set(m.group(1).split("/"))
+        sys.exit("check_consistency: cannot find the kVerbs table "
+                 "in src/server/verbs.h")
+    rows = re.findall(r'\{"([A-Z]+)",\s*Verb::k\w+,[^{}]*?,\s*(\w[\w |]*)\}',
+                      m.group(1))
+    if not rows or len(rows) != m.group(1).count('{"'):
+        sys.exit("check_consistency: cannot parse every row of the kVerbs "
+                 "table in src/server/verbs.h")
+    return [(name, set(re.findall(r"k[A-Z]\w*", flags)))
+            for name, flags in rows]
 
 
 def parse_doc_verbs(server_md: str) -> set[str]:
@@ -104,42 +84,50 @@ def parse_doc_verbs(server_md: str) -> set[str]:
     return set(re.findall(r"^\|\s*`([A-Z]+)\b", section.group(1), re.M))
 
 
+def parse_doc_inline_verbs(server_md: str) -> set[str]:
+    """Backticked verbs of the '**Inline verbs**' bullet in section 3."""
+    section = re.search(r"## 3\. Concurrency model(.*?)(?:\n## |\Z)",
+                        server_md, re.S)
+    bullet = section and re.search(r"^- \*\*Inline verbs\*\*(.*?)(?=^- |\Z)",
+                                   section.group(1), re.S | re.M)
+    if not bullet:
+        sys.exit("check_consistency: cannot find the '**Inline verbs**' "
+                 "bullet in section 3 of docs/server.md")
+    return set(re.findall(r"`([A-Z]+)`", bullet.group(1)))
+
+
 def check_wire(root: pathlib.Path, errors: list[str]) -> None:
-    server_h = read(root, "src/server/server.h")
-    server_cc = read(root, "src/server/server.cc")
+    verbs_h = read(root, "src/server/verbs.h")
     server_md = read(root, "docs/server.md")
     server_test = (read(root, "tests/server_test.cc") +
                    read(root, "tests/cluster_test.cc")).lower()
 
-    enumerators = parse_verb_enum(server_h)
-    names = parse_verb_names(server_cc)
-    timed = parse_timed_verbs(server_cc)
-    inline = parse_inline_verbs(server_h)
+    table = parse_verb_table(verbs_h)
     documented = parse_doc_verbs(server_md)
 
-    for enumerator in enumerators:
-        verb = names.get(enumerator)
-        if verb is None:
-            errors.append(f"Verb::{enumerator} has no VerbName case "
-                          "in src/server/server.cc")
-            continue
+    for verb, _ in table:
         if verb not in documented:
             errors.append(f"wire verb {verb} has no command row in "
                           "docs/server.md (section '## 2. Commands')")
-        if enumerator not in timed and verb not in inline:
-            errors.append(
-                f"wire verb {verb} is neither in kTimedVerbs "
-                "(src/server/server.cc) nor listed as answered inline "
-                "next to latency_ (src/server/server.h) — it would be "
-                "served without latency accounting")
         if verb.lower() not in server_test:
             errors.append(f"wire verb {verb} is never mentioned in "
                           "tests/server_test.cc or tests/cluster_test.cc")
 
-    implemented = set(names.values())
+    inline = {verb for verb, flags in table if "kInline" in flags}
+    doc_inline = parse_doc_inline_verbs(server_md)
+    for verb in sorted(inline - doc_inline):
+        errors.append(f"wire verb {verb} is flagged kInline in "
+                      "src/server/verbs.h but missing from the inline "
+                      "verbs of docs/server.md section 3")
+    for verb in sorted(doc_inline - inline):
+        errors.append(f"docs/server.md section 3 lists {verb} as an "
+                      "inline verb, but src/server/verbs.h does not flag "
+                      "it kInline")
+
+    implemented = {verb for verb, _ in table}
     for verb in sorted(documented - implemented):
         errors.append(f"docs/server.md documents command {verb} which is "
-                      "not a wire verb in src/server/server.h")
+                      "not a wire verb in src/server/verbs.h")
 
 
 def check_bench(root: pathlib.Path, errors: list[str]) -> None:

@@ -70,6 +70,12 @@ Result<std::string> ReadFile(const std::string& path) {
   return buffer.str();
 }
 
+// LOAD/STATE: the CLI reads the payload from a file argument.
+bool IsPayloadVerb(const std::string& verb) {
+  const server::VerbSpec* spec = server::FindVerb(verb);
+  return spec != nullptr && spec->Has(server::kPayload);
+}
+
 // Everything a subcommand needs: the parsed model, Σ and a translator.
 struct Session {
   SymbolTable symbols;
@@ -482,14 +488,14 @@ int CmdRpcCluster(const std::string& spec, size_t replicas,
     return 0;
   }
   auto roundtrip = [&]() -> Result<std::string> {
-    if (verb == "LOAD" || verb == "STATE") {
+    if (IsPayloadVerb(verb)) {
       if (args.size() != 3) {
         return InvalidArgumentError(StrCat("usage: rpc --cluster=... ", verb,
                                            " <session> <file>"));
       }
       OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(args[2]));
-      return verb == "LOAD" ? client.Load(args[1], source)
-                            : client.LoadState(args[1], source);
+      return client.Call(StrCat(verb, " ", args[1], " ", source.size()),
+                         &source);
     }
     return client.Call(StrJoin(args, " "));
   };
@@ -546,7 +552,7 @@ int CmdRpc(std::vector<std::string> args) {
 
   const std::string& verb = args[1];
   auto roundtrip = [&]() -> Result<std::string> {
-    if (verb == "LOAD" || verb == "STATE") {
+    if (IsPayloadVerb(verb)) {
       // `rpc ... LOAD <session> <file.dl>`: the CLI frames the file
       // contents as the payload.
       if (args.size() != 4) {
@@ -554,8 +560,8 @@ int CmdRpc(std::vector<std::string> args) {
             StrCat("usage: rpc <host:port> ", verb, " <session> <file>"));
       }
       OODB_ASSIGN_OR_RETURN(std::string source, ReadFile(args[3]));
-      return verb == "LOAD" ? client->Load(args[2], source)
-                            : client->LoadState(args[2], source);
+      return client->Roundtrip(StrCat(verb, " ", args[2], " ", source.size()),
+                               &source);
     }
     const std::vector<std::string> rest(args.begin() + 1, args.end());
     return client->Roundtrip(StrJoin(rest, " "));
