@@ -136,14 +136,65 @@ TEST(MemoCache, ClearEmptiesEveryShardWithoutCountingEvictions) {
 }
 
 TEST(MemoCache, ConcurrentMixedUseKeepsCountersConsistent) {
-  ShardedMemoCache cache(size_t{1} << 12);
-  const size_t kThreads = 4, kPerThread = 2000;
+  // The cache promises sound verdicts and counters under any interleaving,
+  // so the hit and eviction checks below must hold under any interleaving
+  // too; the schedule makes both follow from arithmetic, not timing.
+  //
+  // Capacity 1 << 12 gives each shard 4096/16 + 1 = 257 entries. Every
+  // 4th step a thread looks up one of 64 hot keys, all in one shard; the
+  // other steps churn through (i mod 97, (31i + t) mod 89), with any churn
+  // key that routes to the hot shard moved out of it (c += 97).
+  //  - Hits: the hot shard only ever holds <= 64 < 257 distinct keys, so
+  //    it is never cleared, and a thread always sees its own earlier
+  //    insert there. Each thread makes 500 hot lookups over 64 keys, so
+  //    hits >= 4 * (500 - 64) = 1744 whatever the scheduling.
+  //  - Evictions: each churn key's first lookup misses and inserts it, and
+  //    every other shard receives >= 306 > 257 distinct churn keys over
+  //    the whole schedule (checked below), so by pigeonhole each is
+  //    cleared wholesale at least once, racing any concurrent lookups.
+  // The churn keys alone guarantee no hits: no thread repeats one within
+  // 2,000 steps, and when threads run in step a shared key's shard is
+  // cleared between its two lookups.
+  const size_t kCapacity = size_t{1} << 12;
+  const size_t kShardCapacity = kCapacity / ShardedMemoCache::kNumShards + 1;
+  const size_t kThreads = 4, kPerThread = 2000, kHotEvery = 4, kHotKeys = 64;
+  const size_t kHotShard = ShardedMemoCache::ShardOf(PairKey(0, 0));
+  const std::vector<uint64_t> hot = KeysInShard(kHotShard, kHotKeys);
+
+  // schedule[t][i]: the key thread t looks up at step i.
+  std::vector<std::vector<uint64_t>> schedule(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t i = 0; i < kPerThread; ++i) {
+      uint64_t key = hot[(i / kHotEvery + t) % kHotKeys];
+      if (i % kHotEvery != 0) {
+        uint32_t c = static_cast<uint32_t>(i % 97);
+        const uint32_t d = static_cast<uint32_t>((i * 31 + t) % 89);
+        while (ShardedMemoCache::ShardOf(PairKey(c, d)) == kHotShard) c += 97;
+        key = PairKey(c, d);
+      }
+      schedule[t].push_back(key);
+    }
+  }
+  // The per-shard distinct-key counts both guarantees rest on.
+  std::vector<std::set<uint64_t>> distinct(ShardedMemoCache::kNumShards);
+  for (const std::vector<uint64_t>& keys : schedule) {
+    for (uint64_t key : keys) {
+      distinct[ShardedMemoCache::ShardOf(key)].insert(key);
+    }
+  }
+  for (size_t s = 0; s < ShardedMemoCache::kNumShards; ++s) {
+    if (s == kHotShard) {
+      ASSERT_EQ(distinct[s].size(), kHotKeys);
+    } else {
+      ASSERT_GT(distinct[s].size(), kShardCapacity) << "shard " << s;
+    }
+  }
+
+  ShardedMemoCache cache(kCapacity);
   std::vector<std::thread> threads;
   for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      for (size_t i = 0; i < kPerThread; ++i) {
-        uint64_t key = PairKey(static_cast<uint32_t>(i % 97),
-                               static_cast<uint32_t>((i * 31 + t) % 89));
+    threads.emplace_back([&cache, &keys = schedule[t]] {
+      for (uint64_t key : keys) {
         // Verdict is a pure function of the key, as in the checker.
         bool verdict = (key % 3) == 0;
         auto cached = cache.Lookup(key);
@@ -159,6 +210,7 @@ TEST(MemoCache, ConcurrentMixedUseKeepsCountersConsistent) {
   MemoCacheStats stats = cache.Stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kPerThread);
   EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
   EXPECT_LE(stats.entries, 97u * 89u);
 }
 
