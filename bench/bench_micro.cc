@@ -1,13 +1,17 @@
 // Google-benchmark microbenchmarks of the core operations: completion
 // runs at several sizes, DL parsing + translation, concept evaluation
-// over interpretations, and CQ containment. Complements the table-style
+// over interpretations, CQ containment, and the sharded verdict memo's
+// hit, miss and fill-then-free paths. Complements the table-style
 // experiment binaries with statistically sampled timings.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "base/rng.h"
 #include "base/strings.h"
+#include "calculus/memo_cache.h"
 #include "calculus/subsumption.h"
 #include "cq/cq.h"
 #include "dl/analyzer.h"
@@ -149,6 +153,56 @@ void BM_CqContainment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CqContainment);
+
+// The memo's key set: (c << 32 | d) pair keys over a 220-query catalog,
+// 48,400 keys, about the verdicts a cold catalog scan memoizes.
+std::vector<uint64_t> MemoKeys() {
+  std::vector<uint64_t> keys;
+  for (uint64_t c = 0; c < 220; ++c) {
+    for (uint64_t d = 0; d < 220; ++d) keys.push_back(c << 32 | d);
+  }
+  return keys;
+}
+
+// Lookup of a present key (a warm CHECK's memo step).
+void BM_MemoCacheHit(benchmark::State& state) {
+  const std::vector<uint64_t> keys = MemoKeys();
+  calculus::ShardedMemoCache cache;
+  for (uint64_t key : keys) cache.Insert(key, (key & 1) != 0);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(keys[i]));
+    if (++i == keys.size()) i = 0;
+  }
+}
+BENCHMARK(BM_MemoCacheHit);
+
+// Lookup of an absent key in a filled cache (a cold scan's memo step).
+void BM_MemoCacheMiss(benchmark::State& state) {
+  const std::vector<uint64_t> keys = MemoKeys();
+  calculus::ShardedMemoCache cache;
+  for (uint64_t key : keys) cache.Insert(key, (key & 1) != 0);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.Lookup(keys[i] | uint64_t{1} << 31));
+    if (++i == keys.size()) i = 0;
+  }
+}
+BENCHMARK(BM_MemoCacheMiss);
+
+// Fills a fresh cache with every key, then destroys it: the memo's share
+// of a LOAD that replaces a scanned session.
+void BM_MemoCacheInsertFresh(benchmark::State& state) {
+  const std::vector<uint64_t> keys = MemoKeys();
+  for (auto _ : state) {
+    auto cache = std::make_unique<calculus::ShardedMemoCache>();
+    for (uint64_t key : keys) cache->Insert(key, (key & 1) != 0);
+    benchmark::DoNotOptimize(cache->size());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(keys.size()));
+}
+BENCHMARK(BM_MemoCacheInsertFresh)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -4,15 +4,20 @@
 // shared checker; a single memo map (and a single lock) would serialize
 // them. Keys are striped over independently locked shards, so concurrent
 // lookups of different pairs almost always take different locks, and a
-// lock is held only for the hash-map operation itself — never across a
-// completion run.
+// lock is held only for the table operation itself — never across a
+// completion run. Each shard is one flat open-addressing table: a miss,
+// the usual case in a catalog scan, allocates nothing, and freeing a
+// cache costs one deallocation per shard, not one per verdict.
 #ifndef OODB_CALCULUS_MEMO_CACHE_H_
 #define OODB_CALCULUS_MEMO_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 
 #include "base/sync.h"
 
@@ -48,23 +53,29 @@ class ShardedMemoCache {
   std::optional<bool> Lookup(uint64_t key) const {
     Shard& shard = shards_[ShardOf(key)];
     base::MutexLock lock(&shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
+    const Table& table = shard.table;
+    const Slot* slot = table.size == 0 ? nullptr : &table.Probe(key);
+    if (slot == nullptr || !slot->used) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return std::nullopt;
     }
     hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    return slot->verdict;
   }
 
   void Insert(uint64_t key, bool verdict) {
     Shard& shard = shards_[ShardOf(key)];
     base::MutexLock lock(&shard.mu);
-    if (shard.map.size() >= shard_capacity_) {
-      shard.evictions += shard.map.size();
-      shard.map.clear();
+    Table& table = shard.table;
+    if (table.size >= shard_capacity_) {
+      shard.evictions += table.size;
+      table.Clear();
     }
-    if (shard.map.emplace(key, verdict).second) {
+    if (4 * (table.size + 1) > 3 * table.num_slots) table.Grow();
+    Slot& slot = table.Probe(key);
+    if (!slot.used) {
+      slot = Slot{key, true, verdict};
+      ++table.size;
       insertions_.fetch_add(1, std::memory_order_relaxed);
     }
   }
@@ -73,7 +84,7 @@ class ShardedMemoCache {
     size_t total = 0;
     for (Shard& shard : shards_) {
       base::MutexLock lock(&shard.mu);
-      total += shard.map.size();
+      total += shard.table.size;
     }
     return total;
   }
@@ -86,7 +97,7 @@ class ShardedMemoCache {
     for (Shard& shard : shards_) {
       base::MutexLock lock(&shard.mu);
       stats.evictions += shard.evictions;
-      stats.entries += shard.map.size();
+      stats.entries += shard.table.size;
     }
     return stats;
   }
@@ -94,7 +105,7 @@ class ShardedMemoCache {
   void Clear() {
     for (Shard& shard : shards_) {
       base::MutexLock lock(&shard.mu);
-      shard.map.clear();
+      shard.table.Clear();
     }
   }
 
@@ -103,14 +114,61 @@ class ShardedMemoCache {
   // with small dense ids, so the raw low bits would put whole catalogs
   // in one shard.
   static size_t ShardOf(uint64_t key) {
-    return (key * 0x9e3779b97f4a7c15ull) >> (64 - kShardBits);
+    return Mix(key) >> (64 - kShardBits);
   }
 
  private:
+  static uint64_t Mix(uint64_t key) { return key * 0x9e3779b97f4a7c15ull; }
+
+  // A slot's own `used` flag marks it occupied, so no key value is
+  // reserved as the empty marker: (0, 0) and (UINT32_MAX, UINT32_MAX) are
+  // keys like any other.
+  struct Slot {
+    uint64_t key = 0;
+    bool used = false;
+    bool verdict = false;
+  };
+
+  // One shard's verdicts: linear probing over a power-of-two slot array,
+  // allocated on the first insert and doubled when 3/4 full, never sized
+  // to the shard's capacity up front. Clear empties it in place.
+  struct Table {
+    std::unique_ptr<Slot[]> slots;
+    size_t num_slots = 0;
+    size_t size = 0;
+    int shift = 64;
+
+    // The slot holding `key`, else the empty slot that ends its probe
+    // run. The home slot comes from the mixed bits below the shard bits.
+    Slot& Probe(uint64_t key) const {
+      size_t i = (Mix(key) << kShardBits) >> shift;
+      while (slots[i].used && slots[i].key != key) {
+        i = (i + 1) & (num_slots - 1);
+      }
+      return slots[i];
+    }
+
+    void Grow() {
+      const size_t n = num_slots == 0 ? 16 : 2 * num_slots;
+      std::unique_ptr<Slot[]> old =
+          std::exchange(slots, std::make_unique<Slot[]>(n));
+      const size_t old_n = std::exchange(num_slots, n);
+      shift = 64 - std::countr_zero(n);
+      for (size_t i = 0; i < old_n; ++i) {
+        if (old[i].used) Probe(old[i].key) = old[i];
+      }
+    }
+
+    void Clear() {
+      std::fill_n(slots.get(), num_slots, Slot{});
+      size = 0;
+    }
+  };
+
   // Padded to a cache line so neighboring shard locks don't false-share.
   struct alignas(64) Shard {
     base::Mutex mu;
-    std::unordered_map<uint64_t, bool> map GUARDED_BY(mu);
+    Table table GUARDED_BY(mu);
     uint64_t evictions GUARDED_BY(mu) = 0;
   };
 

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "base/strings.h"
+#include "server/verbs.h"
 
 namespace oodb::cluster {
 
@@ -106,9 +107,11 @@ uint64_t Replicator::Record(const std::string& session, std::string line,
     log.acked.assign(log.replicas.size(), 0);
   }
   const uint64_t seq = log.next_seq++;
-  // A LOAD rebuilds the session from scratch: everything before it is
-  // superseded, so the retained log restarts at the LOAD entry.
-  if (line.rfind("LOAD ", 0) == 0) log.entries.clear();
+  // A resync verb (LOAD) rebuilds the session from scratch: everything
+  // before it is superseded, so the retained log restarts at its entry.
+  const server::VerbSpec* spec =
+      server::FindVerb(std::string_view(line).substr(0, line.find(' ')));
+  if (spec != nullptr && spec->Has(server::kResync)) log.entries.clear();
   log.entries.push_back(
       Entry{seq, std::move(line), std::move(payload), trace_id});
   recorded_.fetch_add(1, std::memory_order_relaxed);

@@ -581,34 +581,33 @@ bool Server::ParseTextFrame(Connection& conn) {
   }
   // Payload-carrying verbs, bare or inside an envelope: the line ends
   // with the byte count; the payload plus one terminating '\n' follows.
-  // A line with the wrong argument count carries no payload; dispatch
-  // answers it with the verb's usage.
+  // A line with the wrong argument count or an unreadable count carries
+  // no payload; dispatch answers it with the verb's usage.
   size_t frame_len = nl + 1;
   const Command target = req.target();
+  size_t nbytes = 0;
   if (target.spec != nullptr && target.spec->Has(kPayload) &&
-      target.spec->ArityOk(target.args.size())) {
-    size_t nbytes = 0;
+      target.spec->ArityOk(target.args.size()) &&
+      ParseSize(target.args.back(), &nbytes)) {
     Reply reject;
-    if (!ParseSize(target.args.back(), &nbytes)) {
-      reject = UsageReply(*target.spec);
-    } else if (nbytes > options_.max_payload) {
-      // The payload cannot be admitted: reply, then close (the unread
-      // bytes make the stream unrecoverable).
+    if (nbytes > options_.max_payload) {
+      // The payload cannot be admitted.
       reject = ErrReply(kErrProto, StrCat("payload exceeds ",
                                           options_.max_payload, " bytes"));
-      conn.closing = true;
-      conn.discard_input = true;
+    } else if (buf.size() < nl + 1 + nbytes + 1) {
+      return false;  // need more bytes
+    } else if (buf[nl + 1 + nbytes] != '\n') {
+      // The count does not frame the payload: the same usage reply a
+      // binary frame with a mismatched count gets.
+      reject = UsageReply(*target.spec);
     }
     if (reject.kind == Reply::Kind::kErr) {
+      // Reply, then close: the unread bytes make the stream unrecoverable.
       conn.in_pos += frame_len;
-      CountRequest(req.spec->verb);
-      QueueReply(conn, 0, reject, req.spec->verb);
-      return true;
-    }
-    if (buf.size() < nl + 1 + nbytes + 1) return false;  // need more bytes
-    if (buf[nl + 1 + nbytes] != '\n') {  // frame out of sync
       conn.closing = true;
       conn.discard_input = true;
+      CountRequest(req.spec->verb);
+      QueueReply(conn, 0, reject, req.spec->verb);
       return false;
     }
     req.payload.assign(buf.substr(nl + 1, nbytes));
@@ -1046,9 +1045,9 @@ Reply Server::ApplyRepl(const Request& req, obs::TraceContext* trace) {
     repl_dups_.fetch_add(1, std::memory_order_relaxed);
     return OkReply(StrCat("applied=", applied, " dup=true"));
   }
-  // In-sequence, or a LOAD — which rebuilds the session from scratch and
-  // is therefore a valid resync point at any forward sequence number.
-  if (seq != applied + 1 && inner.spec->verb != Verb::kLoad) {
+  // In-sequence, or a verb that rebuilds the session from scratch and is
+  // therefore a valid resync point at any forward sequence number.
+  if (seq != applied + 1 && !inner.spec->Has(kResync)) {
     repl_gaps_.fetch_add(1, std::memory_order_relaxed);
     return ErrReply("replica_gap", StrCat("have=", applied));
   }
@@ -1173,7 +1172,15 @@ Reply Server::Execute(const Command& cmd, const std::string& payload,
                                           "' (LOAD one first)"));
     }
   }
-  if (!spec.ArityOk(args.size())) return UsageReply(spec);
+  // A payload verb's last argument is its payload's byte count. The text
+  // framing read the payload by that count, but a binary frame carries
+  // its payload apart, so the count is judged here for both framings.
+  size_t nbytes = 0;
+  if (!spec.ArityOk(args.size()) ||
+      (spec.Has(kPayload) &&
+       (!ParseSize(args.back(), &nbytes) || nbytes != payload.size()))) {
+    return UsageReply(spec);
+  }
 
   switch (spec.verb) {
     case Verb::kPing:
@@ -1196,16 +1203,22 @@ Reply Server::Execute(const Command& cmd, const std::string& payload,
       auto loaded = Session::FromSource(payload, options_.checker, trace);
       if (!loaded.ok()) return StatusReply(loaded.status());
       std::string summary = (*loaded)->Summary();
-      base::MutexLock lock(&sessions_mu_);
-      if (!sessions_.contains(args[0]) &&
-          sessions_.size() >= options_.max_sessions) {
-        return ErrReply("resource_exhausted",
-                        StrCat("session limit (", options_.max_sessions,
-                               ") reached"));
-      }
       // Replacing is atomic for new requests; in-flight requests finish
-      // against the old session via their shared_ptr.
-      sessions_[args[0]] = std::move(*loaded);
+      // against the old session via their shared_ptr. The old session is
+      // dropped only after sessions_mu_ is released: freeing a session
+      // (its schema, taxonomy and memo) takes milliseconds, and every
+      // request's FindSession waits on that lock.
+      std::shared_ptr<Session> replaced;
+      {
+        base::MutexLock lock(&sessions_mu_);
+        if (!sessions_.contains(args[0]) &&
+            sessions_.size() >= options_.max_sessions) {
+          return ErrReply("resource_exhausted",
+                          StrCat("session limit (", options_.max_sessions,
+                                 ") reached"));
+        }
+        replaced = std::exchange(sessions_[args[0]], std::move(*loaded));
+      }
       return OkReply(StrCat("session=", args[0], " ", summary));
     }
     case Verb::kState: {

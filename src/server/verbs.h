@@ -60,6 +60,11 @@ enum VerbFlag : uint8_t {
   // A cluster envelope (REPL, FORWARD) around another request, with an
   // optional `@<origin>:<trace>` header before its own arguments.
   kEnvelope = 1 << 5,
+  // Rebuilds the session from scratch (LOAD): the owner's REPL log
+  // restarts at it, and a replica applies it at any forward sequence
+  // number. STATE is not one: it keeps the schema and the taxonomy that
+  // earlier LOADs and UNDEFINEs shaped.
+  kResync = 1 << 6,
 };
 
 struct VerbSpec {
@@ -80,7 +85,7 @@ struct VerbSpec {
 inline constexpr VerbSpec kVerbs[] = {
     {"PING", Verb::kPing, 0, kAnyArgs, "usage: PING", kInline | kIdempotent},
     {"LOAD", Verb::kLoad, 2, 2, "usage: LOAD <session> <nbytes>",
-     kSession | kMutation | kPayload},
+     kSession | kMutation | kPayload | kResync},
     {"STATE", Verb::kState, 2, 2, "usage: STATE <session> <nbytes>",
      kSession | kMutation | kPayload},
     {"VIEW", Verb::kView, 2, 2, "usage: VIEW <session> <query-class>",

@@ -324,6 +324,16 @@ TEST(Cluster, ReplAppliesInSequenceAcceptsDupsAndRejectsGaps) {
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(*r, "applied=7");
 
+  // A STATE is not: it resets the views but keeps the schema and the
+  // taxonomy that earlier LOADs and UNDEFINEs shaped, so a forward STATE
+  // is a gap like any other mutation.
+  const std::string state = "";
+  r = client.Roundtrip("REPL 9 STATE rs 0", &state);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("replica_gap"), std::string::npos)
+      << r.status();
+  EXPECT_NE(r.status().message().find("have=7"), std::string::npos);
+
   // Non-mutations may not ride REPL.
   r = client.Roundtrip("REPL 8 CHECK rs Q0 Q0");
   ASSERT_FALSE(r.ok());

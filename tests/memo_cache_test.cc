@@ -6,10 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <vector>
+
+#include "base/rng.h"
 
 namespace oodb::calculus {
 namespace {
@@ -211,7 +216,121 @@ TEST(MemoCache, ConcurrentMixedUseKeepsCountersConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kPerThread);
   EXPECT_GT(stats.hits, 0u);
   EXPECT_GT(stats.evictions, 0u);
-  EXPECT_LE(stats.entries, 97u * 89u);
+  // The capacity rule: no shard ever holds more than its slice.
+  EXPECT_LE(stats.entries, ShardedMemoCache::kNumShards * kShardCapacity);
+}
+
+// Reference model of the cache's contract: one std::unordered_map per
+// shard, cleared wholesale when an insert finds it at its slice of the
+// capacity, and the same counters.
+class ModelCache {
+ public:
+  explicit ModelCache(size_t capacity)
+      : shard_capacity_(capacity / ShardedMemoCache::kNumShards + 1) {}
+
+  std::optional<bool> Lookup(uint64_t key) {
+    const auto& shard = shards_[ShardedMemoCache::ShardOf(key)];
+    auto it = shard.find(key);
+    if (it == shard.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    return it->second;
+  }
+
+  void Insert(uint64_t key, bool verdict) {
+    auto& shard = shards_[ShardedMemoCache::ShardOf(key)];
+    if (shard.size() >= shard_capacity_) {
+      stats_.evictions += shard.size();
+      shard.clear();
+    }
+    if (shard.emplace(key, verdict).second) ++stats_.insertions;
+    peak_shard_size_ = std::max(peak_shard_size_, shard.size());
+  }
+
+  void Clear() {
+    for (auto& shard : shards_) shard.clear();
+  }
+
+  MemoCacheStats Stats() const {
+    MemoCacheStats stats = stats_;
+    for (const auto& shard : shards_) stats.entries += shard.size();
+    return stats;
+  }
+
+  // The most entries any one shard has held.
+  size_t peak_shard_size() const { return peak_shard_size_; }
+
+ private:
+  size_t shard_capacity_;
+  size_t peak_shard_size_ = 0;
+  std::unordered_map<uint64_t, bool> shards_[ShardedMemoCache::kNumShards];
+  MemoCacheStats stats_;
+};
+
+void ExpectSameStats(const MemoCacheStats& got, const MemoCacheStats& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.insertions, want.insertions);
+  EXPECT_EQ(got.evictions, want.evictions);
+  EXPECT_EQ(got.entries, want.entries);
+}
+
+TEST(MemoCache, RandomOperationsMatchAnUnorderedMapModel) {
+  // Each run draws keys from a pool mixing the extreme keys (0 is
+  // PairKey(0, 0), ~0 is PairKey(UINT32_MAX, UINT32_MAX): no key value may
+  // serve as the empty-slot marker), keys that all route to one shard,
+  // dense pair keys and arbitrary 64-bit keys.
+  // Inserts write random verdicts, so a probe that returns a neighbour's
+  // slot shows up as a wrong verdict, not only as a wrong hit count.
+  // Capacity 16 keeps a shard at 2 entries; 200 clears a shard at 13,
+  // just past the first growth (12 of 16 slots); 4096 lets a shard grow
+  // through 16, 32, 64, 128 and 256 slots to 512 before it is cleared.
+  // Every run fills some shard to its slice, so it crosses each of those
+  // growth boundaries.
+  for (const size_t capacity : {size_t{16}, size_t{200}, size_t{4096}}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(testing::Message() << "capacity " << capacity << " seed "
+                                      << seed);
+      Rng rng(seed * 7919 + capacity);
+      const size_t shard_capacity =
+          capacity / ShardedMemoCache::kNumShards + 1;
+      std::vector<uint64_t> pool = {0, ~uint64_t{0}, PairKey(0, 1),
+                                    PairKey(UINT32_MAX, 0)};
+      for (uint64_t key : KeysInShard(rng.Index(ShardedMemoCache::kNumShards),
+                                      2 * shard_capacity)) {
+        pool.push_back(key);
+      }
+      for (size_t i = 0; i < 8 * shard_capacity; ++i) {
+        pool.push_back(PairKey(static_cast<uint32_t>(rng.Index(64)),
+                               static_cast<uint32_t>(rng.Index(64))));
+        pool.push_back(
+            static_cast<uint64_t>(rng.Uniform(INT64_MIN, INT64_MAX)));
+      }
+
+      ShardedMemoCache cache(capacity);
+      ModelCache model(capacity);
+      for (size_t step = 0; step < 20000; ++step) {
+        const uint64_t key = rng.Pick(pool);
+        const size_t op = rng.Index(1000);
+        if (op == 0 && rng.Bernoulli(0.2)) {  // about 4 per run
+          cache.Clear();
+          model.Clear();
+        } else if (op < 500) {
+          const bool verdict = rng.Bernoulli(0.5);
+          cache.Insert(key, verdict);
+          model.Insert(key, verdict);
+        } else {
+          ASSERT_EQ(cache.Lookup(key), model.Lookup(key))
+              << "step " << step << " key " << key;
+        }
+      }
+      ExpectSameStats(cache.Stats(), model.Stats());
+      EXPECT_EQ(cache.size(), model.Stats().entries);
+      EXPECT_EQ(model.peak_shard_size(), shard_capacity);
+    }
+  }
 }
 
 }  // namespace

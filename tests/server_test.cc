@@ -1317,5 +1317,68 @@ TEST(Server, EveryVerbAnswersBadArgumentCountsAsBefore) {
   }
 }
 
+// A LOAD/STATE line ends with its payload's byte count. Text reads the
+// payload by that count; a binary kLine frame carries its payload apart,
+// so the count must be checked against it. A bad, a mismatched and a
+// correct count get the same reply in both framings. (Over text, a count
+// that does not frame the payload also ends the connection: the stream
+// cannot be resynchronized.)
+TEST(Server, PayloadByteCountsGetTheSameReplyInBothFramings) {
+  const std::string base =
+      "Class A with end A\nQueryClass Q isA A with end Q\n";
+  const std::string fresh =
+      "Class F with end F\nQueryClass P isA F with end P\n";
+  const std::string load_usage = "ERR proto: usage: LOAD <session> <nbytes>";
+  const std::string state_usage =
+      "ERR proto: usage: STATE <session> <nbytes>";
+  std::vector<std::string> replies[2];
+  for (const bool binary : {false, true}) {
+    SCOPED_TRACE(binary ? "binary" : "text");
+    Server server;
+    auto port = server.Start();
+    ASSERT_TRUE(port.ok()) << port.status();
+    // One connection per request: a text frame out of sync closes its own.
+    auto roundtrip = [&](const std::string& line,
+                         const std::string* payload = nullptr) {
+      Client client = MustConnect(*port);
+      if (binary) {
+        EXPECT_TRUE(client.EnableBinary().ok());
+      }
+      return ReplyText(client.Roundtrip(line, payload));
+    };
+    std::vector<std::string>& got = replies[binary];
+    got.push_back(roundtrip("LOAD s " + std::to_string(base.size()), &base));
+    EXPECT_EQ(got.back().rfind("OK session=s ", 0), 0u) << got.back();
+
+    // Bad counts. A text line whose count does not parse carries no
+    // payload (its bytes would read as further command lines).
+    got.push_back(roundtrip("LOAD s abc", binary ? &fresh : nullptr));
+    EXPECT_EQ(got.back(), load_usage);
+    got.push_back(roundtrip("STATE s abc", binary ? &fresh : nullptr));
+    EXPECT_EQ(got.back(), state_usage);
+    // Mismatched counts, with the payload sent.
+    for (const char* count : {"0", "3"}) {
+      got.push_back(roundtrip(StrCat("LOAD s ", count), &fresh));
+      EXPECT_EQ(got.back(), load_usage) << count;
+      got.push_back(roundtrip(StrCat("STATE s ", count), &fresh));
+      EXPECT_EQ(got.back(), state_usage) << count;
+    }
+    // None of them replaced the session: it still has Q, not P.
+    got.push_back(roundtrip("CHECK s Q Q"));
+    EXPECT_EQ(got.back(), "OK subsumed=true");
+    got.push_back(roundtrip("CHECK s P P"));
+    EXPECT_EQ(got.back().rfind("ERR ", 0), 0u) << got.back();
+
+    // The correct count loads the payload.
+    got.push_back(
+        roundtrip("LOAD s " + std::to_string(fresh.size()), &fresh));
+    EXPECT_EQ(got.back().rfind("OK session=s ", 0), 0u) << got.back();
+    got.push_back(roundtrip("CHECK s P P"));
+    EXPECT_EQ(got.back(), "OK subsumed=true");
+    server.Shutdown();
+  }
+  EXPECT_EQ(replies[0], replies[1]);
+}
+
 }  // namespace
 }  // namespace oodb::server
